@@ -6,13 +6,12 @@ Heegaard diagram combinatorics with the move calculus, the contraction
 invariant, and the independent lift-counting oracle.
 """
 
-from .scalars import Scalar, parse_scalar, format_scalar, scalar_arithmetic
+from .scalars import Scalar, parse_scalar, format_scalar
 from .groups import (
     GroupTable,
     GroupHom,
     Word,
     Report,
-    build_group,
     cyclic_group,
     symmetric_group,
     trivial_group,
@@ -51,7 +50,7 @@ from .heegaard import (
     mirror_diagram,
     cancelling_pairs,
 )
-from .invariant import contract_invariant, circle_tensor, plan_contraction_order
+from .invariant import contract_invariant
 from .homcount import LiftCountQuery, count_lifts
 
 __version__ = "0.1.0"

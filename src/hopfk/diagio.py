@@ -8,6 +8,7 @@ by name; indices are resolved at load time.
 from __future__ import annotations
 
 import json
+import math
 
 from .groups import (
     GroupHom,
@@ -26,17 +27,28 @@ from .hopf import (
     build_function_hopf,
     build_kac_paljutkin,
     check_shapes,
+    structure_legs,
+    structure_tensor,
 )
 from .scalars import Scalar, ScalarParseError, format_scalar, parse_scalar
+from .tensors import GradedTensor
+
+# Largest group a name or a table may describe.  Building a group takes
+# time cubic in its order (the associativity check) and every algebra over
+# it has a component per element, so larger inputs are refused before
+# anything is built.  S5 (order 120) is the largest symmetric group allowed.
+MAX_GROUP_ORDER = 120
 
 
 class DataFormatError(ValueError):
     """Input file is malformed (missing keys, bad scalars, bad indices)."""
 
 
-def _parse_scalars(node, where):
-    if isinstance(node, list):
-        return tuple(_parse_scalars(v, where) for v in node)
+class UnknownNameError(DataFormatError):
+    """A name is not one of the builtin groups, homomorphisms or algebras."""
+
+
+def _parse_scalar(node, where) -> Scalar:
     if isinstance(node, str):
         try:
             return parse_scalar(node)
@@ -47,10 +59,42 @@ def _parse_scalars(node, where):
     raise DataFormatError(f"bad scalar entry in {where}: {node!r}")
 
 
-def _dump_scalars(node):
-    if isinstance(node, tuple):
-        return [_dump_scalars(v) for v in node]
-    return format_scalar(node)
+def _parse_tensor(node, pi, dim, field, key, where) -> GradedTensor:
+    """A structure map from its dense nested-array form; the nesting must
+    match the leg dimensions that ``dim`` prescribes."""
+    dims = [leg.dim for leg in structure_legs(pi, dim, field, key)]
+    data = {}
+
+    def walk(node, index):
+        if len(index) == len(dims):
+            data[index] = _parse_scalar(node, where)
+            return
+        if not isinstance(node, list) or len(node) != dims[len(index)]:
+            raise DataFormatError(f"{where} shape mismatch")
+        for i, child in enumerate(node):
+            walk(child, index + (i,))
+
+    walk(node, ())
+    return structure_tensor(pi, dim, field, key, data)
+
+
+def _dump_tensor(t: GradedTensor):
+    """The dense nested-array form of a tensor, zeros included."""
+    dims = [leg.dim for leg in t.legs]
+
+    def nest(index):
+        if len(index) == len(dims):
+            return format_scalar(t.entry(index))
+        return [nest(index + (i,)) for i in range(dims[len(index)])]
+
+    return nest(())
+
+
+def _check_order(name, order):
+    if order > MAX_GROUP_ORDER:
+        raise DataFormatError(
+            f"group {name!r} has more than {MAX_GROUP_ORDER} elements"
+        )
 
 
 # -- groups -------------------------------------------------------------------
@@ -66,6 +110,7 @@ def parse_group(data) -> GroupTable:
         names, mul = data["names"], data["mul"]
     except KeyError as exc:
         raise DataFormatError(f"group object missing key {exc}") from exc
+    _check_order("table", len(names))
     try:
         return group_from_table(names, mul)
     except ValueError as exc:
@@ -76,11 +121,16 @@ def builtin_group(name: str) -> GroupTable:
     key = name.strip().lower()
     for prefix in ("z", "cyclic-"):
         if key.startswith(prefix) and key[len(prefix):].isdigit():
-            return cyclic_group(int(key[len(prefix):]))
+            n = int(key[len(prefix):])
+            _check_order(name, n)
+            return cyclic_group(n)
     for prefix in ("s", "symmetric-"):
         if key.startswith(prefix) and key[len(prefix):].isdigit():
-            return symmetric_group(int(key[len(prefix):]))
-    raise DataFormatError(f"unknown group name {name!r}")
+            n = int(key[len(prefix):])
+            # Any n above the limit fails anyway (n! >= n), so cap n before the factorial.
+            _check_order(name, math.factorial(min(n, MAX_GROUP_ORDER)))
+            return symmetric_group(n)
+    raise UnknownNameError(f"unknown group name {name!r}")
 
 
 def element_index(pi: GroupTable, label) -> int:
@@ -105,13 +155,14 @@ def builtin_hom(name: str) -> GroupHom:
     if key.startswith("mod") and "-z" in key:
         m_part, n_part = key[3:].split("-z", 1)
         if m_part.isdigit() and n_part.isdigit():
+            _check_order(name, int(n_part))
             try:
                 return mod_hom(int(n_part), int(m_part))
             except ValueError as exc:
                 raise DataFormatError(str(exc)) from exc
     if key.startswith("trivial-"):
         return trivial_hom(builtin_group(key[len("trivial-"):]))
-    raise DataFormatError(f"unknown homomorphism name {name!r}")
+    raise UnknownNameError(f"unknown homomorphism name {name!r}")
 
 
 def parse_hom(data) -> GroupHom:
@@ -141,7 +192,7 @@ def builtin_algebra(name: str) -> HopfPiCoalgebra:
         return build_kac_paljutkin()
     if key.startswith("fun-"):
         return build_function_hopf(builtin_hom(key[len("fun-"):]))
-    raise DataFormatError(f"unknown algebra name {name!r}")
+    raise UnknownNameError(f"unknown algebra name {name!r}")
 
 
 def parse_algebra(data) -> HopfPiCoalgebra:
@@ -155,14 +206,15 @@ def parse_algebra(data) -> HopfPiCoalgebra:
     if len(dim) != pi.order:
         raise DataFormatError("dim list length differs from group order")
 
-    def per_element(block, what):
+    def per_element(block, field):
         out = {}
         for label, node in block.items():
-            out[element_index(pi, label)] = _parse_scalars(node, what)
+            a = element_index(pi, label)
+            out[a] = _parse_tensor(node, pi, dim, field, a, f"{field}[{label}]")
         missing = set(range(pi.order)) - set(out)
         if missing:
             raise DataFormatError(
-                f"{what} missing components {[pi.names[a] for a in sorted(missing)]}"
+                f"{field} missing components {[pi.names[a] for a in sorted(missing)]}"
             )
         return out
 
@@ -170,12 +222,12 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         mul = per_element(data["mul"], "mul")
         unit = per_element(data["unit"], "unit")
         antipode = per_element(data["antipode"], "antipode")
-        counit = _parse_scalars(data["counit"], "counit")
+        counit = _parse_tensor(data["counit"], pi, dim, "counit", None, "counit")
         delta = {}
         for key, node in data["delta"].items():
             a_label, b_label = key.split("|", 1)
             pair = (element_index(pi, a_label), element_index(pi, b_label))
-            delta[pair] = _parse_scalars(node, f"delta[{key}]")
+            delta[pair] = _parse_tensor(node, pi, dim, "delta", pair, f"delta[{key}]")
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"bad algebra object: {exc}") from exc
     missing = {
@@ -191,10 +243,11 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         crossing = {}
         for b_label, block in data["crossing"].items():
             b = element_index(pi, b_label)
-            crossing[b] = {
-                element_index(pi, a_label): _parse_scalars(node, "crossing")
-                for a_label, node in block.items()
-            }
+            crossing[b] = {}
+            for a_label, node in block.items():
+                a = element_index(pi, a_label)
+                where = f"crossing[{b_label}][{a_label}]"
+                crossing[b][a] = _parse_tensor(node, pi, dim, "crossing", (b, a), where)
     H = HopfPiCoalgebra(pi, dim, mul, unit, delta, counit, antipode, crossing)
     try:
         check_shapes(H)
@@ -208,22 +261,22 @@ def dump_algebra(H: HopfPiCoalgebra) -> dict:
     data = {
         "group": {"names": list(pi.names), "mul": [list(r) for r in pi.mul]},
         "dim": list(H.dim),
-        "mul": {pi.names[a]: _dump_scalars(H.mul[a]) for a in range(pi.order)},
-        "unit": {pi.names[a]: _dump_scalars(H.unit[a]) for a in range(pi.order)},
+        "mul": {pi.names[a]: _dump_tensor(H.mul[a]) for a in range(pi.order)},
+        "unit": {pi.names[a]: _dump_tensor(H.unit[a]) for a in range(pi.order)},
         "delta": {
-            f"{pi.names[a]}|{pi.names[b]}": _dump_scalars(H.delta[(a, b)])
+            f"{pi.names[a]}|{pi.names[b]}": _dump_tensor(H.delta[(a, b)])
             for a in range(pi.order)
             for b in range(pi.order)
         },
-        "counit": _dump_scalars(H.counit),
+        "counit": _dump_tensor(H.counit),
         "antipode": {
-            pi.names[a]: _dump_scalars(H.antipode[a]) for a in range(pi.order)
+            pi.names[a]: _dump_tensor(H.antipode[a]) for a in range(pi.order)
         },
     }
     if H.crossing is not None:
         data["crossing"] = {
             pi.names[b]: {
-                pi.names[a]: _dump_scalars(H.crossing[b][a])
+                pi.names[a]: _dump_tensor(H.crossing[b][a])
                 for a in range(pi.order)
             }
             for b in range(pi.order)
@@ -296,7 +349,7 @@ def load_algebra(source: str) -> HopfPiCoalgebra:
     """A builtin algebra name, or a path to an algebra JSON file."""
     try:
         return builtin_algebra(source)
-    except DataFormatError:
+    except UnknownNameError:
         pass
     return parse_algebra(load_json(source))
 
@@ -304,7 +357,7 @@ def load_algebra(source: str) -> HopfPiCoalgebra:
 def load_hom(source: str) -> GroupHom:
     try:
         return builtin_hom(source)
-    except DataFormatError:
+    except UnknownNameError:
         pass
     return parse_hom(load_json(source))
 
@@ -312,7 +365,7 @@ def load_hom(source: str) -> GroupHom:
 def load_group(source: str) -> GroupTable:
     try:
         return builtin_group(source)
-    except DataFormatError:
+    except UnknownNameError:
         pass
     return parse_group(load_json(source))
 

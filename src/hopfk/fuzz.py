@@ -20,7 +20,8 @@ from .heegaard import (
     validate_diagram,
 )
 from .hopf import HopfPiCoalgebra
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO
+from .tensors import GradedTensor
 
 
 def random_diagram(rng, genus_max=3, max_crossings=12, tries=200) -> Diagram:
@@ -131,13 +132,11 @@ def random_move_walk(rng, D: Diagram, steps: int, max_crossings: int = 28):
 # -- algebra mutations ---------------------------------------------------------
 
 
-def _bump(rows, path, delta):
-    if not path:
-        return rows + delta
-    head, *rest = path
-    return tuple(
-        _bump(v, rest, delta) if t == head else v for t, v in enumerate(rows)
-    )
+def _bump(t: GradedTensor, key) -> GradedTensor:
+    """``t`` with the entry at ``key`` increased by one."""
+    data = dict(t.data)
+    data[key] = data.get(key, ZERO) + ONE
+    return GradedTensor(t.legs, data)
 
 
 def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
@@ -145,20 +144,19 @@ def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
     mutated algebra).  Used to confirm the validators actually bite."""
     support = [a for a in range(H.pi.order) if H.dim[a] > 0]
     kind = rng.choice(("mul", "unit", "delta", "counit", "antipode"))
-    delta = ONE
     if kind == "mul":
         a = rng.choice(support)
         d = H.dim[a]
         path = tuple(rng.randrange(d) for _ in range(3))
         mul = dict(H.mul)
-        mul[a] = _bump(H.mul[a], path, delta)
-        return f"mul[{a}]{path} += 1", replace_field(H, mul=mul)
+        mul[a] = _bump(H.mul[a], path)
+        return f"mul[{a}]{path} += 1", replace(H, mul=mul)
     if kind == "unit":
         a = rng.choice(support)
         i = rng.randrange(H.dim[a])
         unit = dict(H.unit)
-        unit[a] = _bump(H.unit[a], (i,), delta)
-        return f"unit[{a}][{i}] += 1", replace_field(H, unit=unit)
+        unit[a] = _bump(H.unit[a], (i,))
+        return f"unit[{a}][{i}] += 1", replace(H, unit=unit)
     if kind == "delta":
         a, b = rng.choice(support), rng.choice(support)
         ab = H.pi.mul[a][b]
@@ -170,30 +168,14 @@ def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
             rng.randrange(H.dim[b]),
         )
         dd = dict(H.delta)
-        dd[(a, b)] = _bump(H.delta[(a, b)], path, delta)
-        return f"delta[({a},{b})]{path} += 1", replace_field(H, delta=dd)
+        dd[(a, b)] = _bump(H.delta[(a, b)], path)
+        return f"delta[({a},{b})]{path} += 1", replace(H, delta=dd)
     if kind == "counit":
         i = rng.randrange(H.dim_identity)
-        counit = _bump(H.counit, (i,), delta)
-        return f"counit[{i}] += 1", replace_field(H, counit=counit)
+        return f"counit[{i}] += 1", replace(H, counit=_bump(H.counit, (i,)))
     a = rng.choice(support)
     ai = H.pi.inverse[a]
     path = (rng.randrange(H.dim[a]), rng.randrange(H.dim[ai]))
     s = dict(H.antipode)
-    s[a] = _bump(H.antipode[a], path, delta)
-    return f"antipode[{a}]{path} += 1", replace_field(H, antipode=s)
-
-
-def replace_field(H: HopfPiCoalgebra, **kwargs) -> HopfPiCoalgebra:
-    base = dict(
-        pi=H.pi,
-        dim=H.dim,
-        mul=H.mul,
-        unit=H.unit,
-        delta=H.delta,
-        counit=H.counit,
-        antipode=H.antipode,
-        crossing=H.crossing,
-    )
-    base.update(kwargs)
-    return HopfPiCoalgebra(**base)
+    s[a] = _bump(H.antipode[a], path)
+    return f"antipode[{a}]{path} += 1", replace(H, antipode=s)

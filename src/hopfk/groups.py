@@ -24,12 +24,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.names)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, a: int, n: int) -> int:
         if n < 0:
             return self.power(self.inverse[a], -n)
@@ -133,16 +127,6 @@ def symmetric_group(n: int) -> GroupTable:
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
     return group_from_table(names, mul)
-
-
-def build_group(kind: str, n: int = None, names=None, mul=None) -> GroupTable:
-    if kind == "cyclic":
-        return cyclic_group(n)
-    if kind == "symmetric":
-        return symmetric_group(n)
-    if kind == "table":
-        return group_from_table(names, mul)
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 # -- words ---------------------------------------------------------------

@@ -11,13 +11,9 @@ the largest open frontier instead of the full circle tensors.
 from __future__ import annotations
 
 from .heegaard import Diagram, validate_diagram
-from .hopf import HopfPiCoalgebra, IntegralData, derive_integral_data
-from .scalars import Scalar, ZERO
-from .tensors import GradedTensor, Leg, contract_network
-
-
-def _crossing_leg(label, cid):
-    return ("x", cid)
+from .hopf import HopfPiCoalgebra, derive_integral_data
+from .scalars import Scalar
+from .tensors import GradedTensor, contract_network
 
 
 def _upper_nodes(H, integral, D, k):
@@ -25,40 +21,18 @@ def _upper_nodes(H, integral, D, k):
     the crossing legs."""
     a = D.colors[k]
     order = D.upper_orders[k]
-    d = H.dim[a]
-    n = len(order)
-    T = integral.trace[a]
-    if n == 0:
-        value = sum((T[i] * H.unit[a][i] for i in range(d)), ZERO)
-        return [GradedTensor.scalar(value)]
-    trace_node = GradedTensor(
-        (Leg(("u", k, n), d, a),),
-        {(i,): T[i] for i in range(d)},
-    )
-    if n == 1:
-        return [trace_node.relabel({("u", k, 1): ("x", order[0])})]
-    nodes = []
-    mu = H.mul[a]
-    for t in range(2, n + 1):
-        prev = ("u", k, t - 1) if t > 2 else ("x", order[0])
-        data = {}
-        for i in range(d):
-            for j in range(d):
-                for m in range(d):
-                    c = mu[i][j][m]
-                    if not c.is_zero():
-                        data[(i, j, m)] = c
-        nodes.append(
-            GradedTensor(
-                (
-                    Leg(prev, d, a),
-                    Leg(("x", order[t - 1]), d, a),
-                    Leg(("u", k, t), d, a),
-                ),
-                data,
-            )
+    if not order:
+        trace = GradedTensor.vector("out", integral.trace[a])
+        return [trace.contract(H.unit[a])]
+    # pending[t] carries the product of the first t + 1 crossing legs.
+    pending = [("x", order[0])] + [("u", k, t) for t in range(1, len(order))]
+    nodes = [
+        H.mul[a].relabel(
+            {"in1": pending[t - 1], "in2": ("x", order[t]), "out": pending[t]}
         )
-    nodes.append(trace_node)
+        for t in range(1, len(order))
+    ]
+    nodes.append(GradedTensor.vector(pending[-1], integral.trace[a]))
     return nodes
 
 
@@ -70,12 +44,9 @@ def _lower_nodes(H, integral, D, i):
     cmap = D.crossing_map()
     order = D.lower_orders[i]
     m = len(order)
-    C = integral.cotrace
     if m == 0:
-        value = sum(
-            (H.counit[t] * C[t] for t in range(H.dim[pi.identity])), ZERO
-        )
-        return [GradedTensor.scalar(value)]
+        cotrace = GradedTensor.vector("in", integral.cotrace)
+        return [cotrace.contract(H.counit)]
     gradings = []
     for cid in order:
         c = cmap[cid]
@@ -91,69 +62,24 @@ def _lower_nodes(H, integral, D, i):
             "diagram colors are inconsistent"
         )
 
-    def finish_leg(node, tmp_label, t):
+    def finish_leg(node, label, t):
         """Fold the antipode into a negative crossing leg and name it."""
-        cid = order[t]
-        c = cmap[cid]
-        a = D.colors[c.upper]
-        if c.sign == -1:
-            # S maps the component graded a^-1 into the one graded a.
-            node = node.apply_matrix(
-                tmp_label, H.antipode[pi.inverse[a]], H.dim[a], a
-            )
-        return node.relabel({tmp_label: ("x", cid)})
+        c = cmap[order[t]]
+        if c.sign == 1:
+            return node.relabel({label: ("x", c.id)})
+        # S maps the component graded a^-1 into the one graded a.
+        S = H.antipode[pi.inverse[D.colors[c.upper]]]
+        return node.contract(S.relabel({"in": label, "out": ("x", c.id)}))
 
-    nodes = [
-        GradedTensor(
-            (Leg(("d", i, 0), H.dim[pi.identity], pi.identity),),
-            {(t,): v for t, v in enumerate(C)},
-        )
-    ]
+    nodes = [GradedTensor.vector(("d", i, 0), integral.cotrace)]
     for t in range(m - 1):
-        a, rest = gradings[t], suffix[t + 1]
-        dd = H.delta[(a, rest)]
-        data = {}
-        for p in range(H.dim[suffix[t]]):
-            for j in range(H.dim[a]):
-                for q in range(H.dim[rest]):
-                    v = dd[p][j][q]
-                    if not v.is_zero():
-                        data[(p, j, q)] = v
-        node = GradedTensor(
-            (
-                Leg(("d", i, t), H.dim[suffix[t]], suffix[t]),
-                Leg(("tmp", i, t), H.dim[a], a),
-                Leg(("d", i, t + 1), H.dim[rest], rest),
-            ),
-            data,
+        node = H.delta[(gradings[t], suffix[t + 1])].relabel(
+            {"in": ("d", i, t), "out1": ("tmp", i, t), "out2": ("d", i, t + 1)}
         )
         nodes.append(finish_leg(node, ("tmp", i, t), t))
     # The final pending leg is the last crossing leg itself.
-    last = nodes[-1].relabel({("d", i, m - 1): ("tmp", i, m - 1)})
-    nodes[-1] = finish_leg(last, ("tmp", i, m - 1), m - 1)
+    nodes[-1] = finish_leg(nodes[-1], ("d", i, m - 1), m - 1)
     return nodes
-
-
-def circle_tensor(H, integral, D, kind, index, cap=None) -> GradedTensor:
-    """Materialize one circle's tensor with an open leg per crossing.
-
-    Mostly a debugging and testing aid; ``contract_invariant`` never
-    builds full circle tensors.
-    """
-    if kind == "upper":
-        nodes = _upper_nodes(H, integral, D, index)
-        order = D.upper_orders[index]
-    elif kind == "lower":
-        nodes = _lower_nodes(H, integral, D, index)
-        order = D.lower_orders[index]
-    else:
-        raise ValueError(f"unknown circle kind {kind!r}")
-    result = nodes[0]
-    for node in nodes[1:]:
-        result = result.contract(node, cap=cap)
-    if not order:
-        return result
-    return result.permute([result.axis(("x", cid)) for cid in order])
 
 
 def diagram_nodes(H: HopfPiCoalgebra, D: Diagram, integral=None):
@@ -176,58 +102,7 @@ def contract_invariant(H: HopfPiCoalgebra, D: Diagram, cap=None, rng=None):
     report = validate_diagram(D)
     if not report.passed:
         raise ValueError("invalid diagram: " + "; ".join(report.violations))
-    Z = contract_network(diagram_nodes(H, D), cap=cap, rng=rng)
+    Z = contract_network(diagram_nodes(H, D), cap=cap, rng=rng).as_scalar()
     norm = Scalar(H.dim_identity ** D.genus)
     return Z, Z / norm
 
-
-def plan_contraction_order(D: Diagram, H: HopfPiCoalgebra = None):
-    """Greedy crossing order: repeatedly contract the crossing minimizing
-    the open-leg dimension product of the merged component, ties broken by
-    smallest crossing id.  Without an algebra all leg dimensions are
-    treated as equal."""
-    cmap = D.crossing_map()
-    if H is not None and D.colored:
-        legdim = {cid: max(H.dim[D.colors[c.upper]], 1) for cid, c in cmap.items()}
-    else:
-        legdim = {cid: 2 for cid in cmap}
-
-    blobs = []
-    for orders, kind in ((D.upper_orders, "u"), (D.lower_orders, "l")):
-        for idx, order in enumerate(orders):
-            blobs.append(list(order))
-    where = {}
-    for bi, legs in enumerate(blobs):
-        for cid in legs:
-            where.setdefault(cid, []).append(bi)
-
-    plan = []
-    remaining = set(cmap)
-    while remaining:
-        best = None
-        for cid in sorted(remaining):
-            spots = where[cid]
-            merged = set(spots)
-            legs = []
-            for bi in merged:
-                legs.extend(blobs[bi])
-            cost = 1
-            for leg in legs:
-                if leg != cid:
-                    cost *= legdim[leg]
-            key = (cost, cid)
-            if best is None or key < best[0]:
-                best = (key, cid, merged)
-        _, cid, merged = best
-        plan.append(cid)
-        remaining.discard(cid)
-        keep = min(merged)
-        pooled = []
-        for bi in merged:
-            pooled.extend(x for x in blobs[bi] if x != cid)
-            if bi != keep:
-                blobs[bi] = []
-        blobs[keep] = pooled
-        for leg, spots in where.items():
-            where[leg] = [keep if bi in merged else bi for bi in spots]
-    return plan

@@ -115,19 +115,6 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def scalar_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply a named field operation; ``op`` is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # Grammar: [+-] a[/b] [ (+|-) [c[/d]] i ], or a pure imaginary [+-][c[/d]]i.
 _PART = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
 _IMAG_PART = re.compile(r"^([+-]?)(\d*)(?:/(\d+))?i$")

@@ -1,10 +1,10 @@
 """Sparse exact tensors with labeled legs.
 
 A ``GradedTensor`` holds Q(i) entries indexed by tuples of basis indices,
-one per leg.  Legs carry a label (used to match contraction partners), a
-dimension, and optionally a grading group element.  Entries equal to zero
-are never stored, which matters because the structure-constant tensors of
-the algebras we contract are very sparse.
+one per leg.  Legs carry a label (used to match contraction partners) and
+a dimension.  Entries equal to zero are never stored, which matters
+because the structure-constant tensors of the algebras we contract are
+very sparse.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .scalars import Scalar, ZERO
+from .scalars import ONE, ZERO, Scalar
 
 DEFAULT_ENTRY_CAP = 10_000_000
 ENTRY_CAP_ENV = "HOPFK_ENTRY_CAP"
@@ -31,7 +31,6 @@ def entry_cap() -> int:
 class Leg:
     label: object
     dim: int
-    grading: object = None  # group element index, when meaningful
 
 
 class GradedTensor:
@@ -39,6 +38,7 @@ class GradedTensor:
 
     def __init__(self, legs, data=None):
         self.legs = tuple(legs)
+        self.labels = tuple(leg.label for leg in self.legs)
         self.data = {}
         if data:
             for key, value in data.items():
@@ -54,11 +54,17 @@ class GradedTensor:
             t.data[()] = value
         return t
 
-    # -- basic queries -----------------------------------------------------
+    @classmethod
+    def vector(cls, label, values) -> "GradedTensor":
+        """One leg labeled ``label`` carrying the coefficient sequence ``values``."""
+        return cls((Leg(label, len(values)),), {(i,): v for i, v in enumerate(values)})
 
-    @property
-    def labels(self):
-        return tuple(leg.label for leg in self.legs)
+    @classmethod
+    def identity(cls, x, y, dim) -> "GradedTensor":
+        """The identity matrix with rows on leg ``x`` and columns on leg ``y``."""
+        return cls((Leg(x, dim), Leg(y, dim)), {(i, i): ONE for i in range(dim)})
+
+    # -- basic queries -----------------------------------------------------
 
     def size(self) -> int:
         n = 1
@@ -84,7 +90,7 @@ class GradedTensor:
 
     def relabel(self, mapping) -> "GradedTensor":
         legs = tuple(
-            Leg(mapping.get(leg.label, leg.label), leg.dim, leg.grading)
+            Leg(mapping.get(leg.label, leg.label), leg.dim)
             for leg in self.legs
         )
         out = GradedTensor(legs)
@@ -98,30 +104,31 @@ class GradedTensor:
         out.data = {tuple(key[i] for i in order): v for key, v in self.data.items()}
         return out
 
-    def apply_matrix(self, label, matrix, new_dim=None, new_grading=None) -> "GradedTensor":
-        """Compose a matrix into one leg: entry index i is replaced by j
-        with weight ``matrix[i][j]``."""
-        ax = self.axis(label)
-        old = self.legs[ax]
-        dim = new_dim if new_dim is not None else (len(matrix[0]) if matrix else 0)
-        legs = list(self.legs)
-        legs[ax] = Leg(old.label, dim, new_grading)
-        out = GradedTensor(legs)
-        acc = out.data
-        for key, value in self.data.items():
-            row = matrix[key[ax]]
-            for j in range(dim):
-                c = row[j]
-                if c.is_zero():
-                    continue
-                new_key = key[:ax] + (j,) + key[ax + 1 :]
-                prev = acc.get(new_key)
-                total = value * c if prev is None else prev + value * c
-                if total.is_zero():
-                    acc.pop(new_key, None)
-                else:
-                    acc[new_key] = total
-        return out
+    def inverse(self) -> "GradedTensor":
+        """Exact inverse of a square two-leg tensor, read as a matrix with
+        rows on the first leg; raises ZeroDivisionError if it is singular."""
+        n = self.legs[0].dim
+        if self.legs[1].dim != n:
+            raise ValueError("matrix is not square")
+        # Gauss-Jordan on sparse rows, augmented by the identity in columns n..2n-1.
+        rows = [{n + i: ONE} for i in range(n)]
+        for (i, j), v in self.data.items():
+            rows[i][j] = v
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if col in rows[r]), None)
+            if pivot is None:
+                raise ZeroDivisionError("singular matrix")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            scale = ONE / rows[col][col]
+            rows[col] = {k: v * scale for k, v in rows[col].items()}
+            for r in range(n):
+                factor = rows[r].get(col)
+                if r != col and factor is not None:
+                    for k, v in rows[col].items():
+                        rows[r][k] = rows[r].get(k, ZERO) - factor * v
+                    rows[r] = {k: v for k, v in rows[r].items() if not v.is_zero()}
+        inverse = {(i, k - n): v for i, row in enumerate(rows) for k, v in row.items() if k >= n}
+        return GradedTensor(self.legs, inverse)
 
     # -- contraction ---------------------------------------------------------
 
@@ -189,14 +196,15 @@ class GradedTensor:
         return f"GradedTensor(legs={self.labels}, nnz={len(self.data)})"
 
 
-def contract_network(nodes, cap=None, rng=None):
-    """Fully contract a list of tensors into one Scalar.
+def contract_network(nodes, cap=None, rng=None) -> GradedTensor:
+    """Contract a list of tensors into one, keeping the open legs.
 
     Repeatedly contracts a pair of tensors sharing a leg.  By default the
     pair is chosen greedily (smallest resulting open-size, deterministic
     tie-break on insertion order); pass ``rng`` to pick uniformly among the
     connected pairs instead (used to test order independence).
-    Disconnected components reduce to scalars which are then multiplied.
+    Disconnected components are joined last, by outer product; a network
+    with no open legs yields a tensor whose ``as_scalar`` is its value.
     """
     pool = list(nodes)
     while True:
@@ -222,7 +230,7 @@ def contract_network(nodes, cap=None, rng=None):
         merged = pool[a].contract(pool[b], cap=cap)
         pool = [t for i, t in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
-    result = Scalar(1)
-    for t in pool:
-        result = result * t.as_scalar()
+    result = pool[0] if pool else GradedTensor.scalar(ONE)
+    for t in pool[1:]:
+        result = result.contract(t, cap=cap)
     return result

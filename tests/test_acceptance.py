@@ -9,12 +9,13 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
 from hopfk.cli import main
 from hopfk.diagio import dump_diagram
-from hopfk.fuzz import mutate_algebra, random_diagram, random_move_walk, replace_field
+from hopfk.fuzz import mutate_algebra, random_diagram, random_move_walk
 from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
 from hopfk.heegaard import (
     connected_sum,
@@ -189,7 +190,7 @@ def test_criterion_09_conjugate_colors(kp, z2):
     ok = validate_crossing(kp).passed
     s3 = symmetric_group(3)
     idhom = GroupHom(s3, s3, tuple(range(6)))
-    H = replace_field(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))
+    H = replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))
     ok = ok and validate_crossing(H).passed
     D = connected_sum(lens_diagram(2), lens_diagram(2))
     rng = random.Random(42)

@@ -204,3 +204,16 @@ def test_cli_json_deterministic(rp3_file, capsys):
     first = capsys.readouterr().out
     main(argv)
     assert capsys.readouterr().out == first
+
+
+def test_oversized_groups_rejected(rp3_file, capsys):
+    for argv in (
+        ["colorings", "--diagram", rp3_file, "--group", "s12"],
+        ["colorings", "--diagram", rp3_file, "--group", "z100000"],
+        ["validate-algebra", "fun-trivial-s12"],
+        ["oracle-compare", "--phi", "mod2-z100000", "--diagram", rp3_file],
+    ):
+        assert main(argv) == 2
+        assert "more than" in capsys.readouterr().err
+    assert main(["colorings", "--diagram", rp3_file, "--group", "s4"]) == 0
+    assert "total: 10" in capsys.readouterr().out  # elements of S4 squaring to 1

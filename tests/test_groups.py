@@ -5,7 +5,6 @@ from hopfk.groups import (
     GroupHom,
     GroupValidationError,
     Word,
-    build_group,
     cyclic_group,
     evaluate_word,
     group_from_table,
@@ -31,14 +30,6 @@ def test_symmetric_3():
     assert len(involutions) == 3
     assert not s3.is_abelian()
     assert "e" in s3.names and "(1 2)" in s3.names
-
-
-def test_build_group_dispatch():
-    assert build_group("cyclic", 4).order == 4
-    assert build_group("symmetric", 3).order == 6
-    assert build_group("table", names=["e"], mul=[[0]]).order == 1
-    with pytest.raises(ValueError):
-        build_group("dihedral", 4)
 
 
 def test_broken_tables_rejected():

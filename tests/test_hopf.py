@@ -1,13 +1,14 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from hopfk.fuzz import mutate_algebra, replace_field
+from hopfk.cli import main
+from hopfk.fuzz import mutate_algebra
 from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
 from hopfk.hopf import (
     StructureError,
-    apply_antipode,
-    basis_vector,
     build_function_hopf,
     build_kac_paljutkin,
     check_shapes,
@@ -17,13 +18,12 @@ from hopfk.hopf import (
     dual_variants,
     identity_crossing_data,
     iterated_delta,
-    matrix_inverse,
     validate_crossing,
     validate_hopf,
-    vec_multiply,
     with_identity_crossing,
 )
 from hopfk.scalars import I, ONE, Scalar, ZERO
+from hopfk.tensors import EntryCapExceeded, GradedTensor, Leg
 
 
 def all_constructors():
@@ -38,6 +38,147 @@ def all_constructors():
     ]
 
 
+def dense(t):
+    """Nested lists of a tensor's entries, zeros included."""
+
+    def nest(index):
+        if len(index) == len(t.legs):
+            return t.entry(index)
+        return [nest(index + (i,)) for i in range(t.legs[len(index)].dim)]
+
+    return nest(())
+
+
+def collect(terms):
+    """Sum (key, value) terms into {key: nonzero total}."""
+    out = {}
+    for key, v in terms:
+        out[key] = out.get(key, ZERO) + v
+    return {key: v for key, v in out.items() if v}
+
+
+class Dense:
+    """Plain loops over the dense arrays of an algebra: a reference for the
+    axioms that shares no code with the contraction engine."""
+
+    def __init__(self, H):
+        self.pi, self.dim = H.pi, H.dim
+        self.mul = {a: dense(t) for a, t in H.mul.items()}
+        self.unit = {a: dense(t) for a, t in H.unit.items()}
+        self.S = {a: dense(t) for a, t in H.antipode.items()}
+        self.eps = dense(H.counit)
+        # Delta of each basis vector, as {(j, k): nonzero coefficient}.
+        self.cop = {
+            key: [
+                {(j, k): c for j, row in enumerate(block) for k, c in enumerate(row) if c}
+                for block in dense(t)
+            ]
+            for key, t in H.delta.items()
+        }
+
+    def basis(self, a, i):
+        return [ONE if k == i else ZERO for k in range(self.dim[a])]
+
+    def prod(self, a, x, y):
+        out = [ZERO] * self.dim[a]
+        for i, j, k in itertools.product(range(self.dim[a]), repeat=3):
+            if x[i] and y[j] and self.mul[a][i][j][k]:
+                out[k] += x[i] * y[j] * self.mul[a][i][j][k]
+        return out
+
+    def antipode(self, a, x):
+        out = [ZERO] * self.dim[self.pi.inverse[a]]
+        for i, j in itertools.product(range(len(x)), range(len(out))):
+            if x[i] and self.S[a][i][j]:
+                out[j] += x[i] * self.S[a][i][j]
+        return out
+
+    def failures(self):
+        """Which of associativity, coassociativity, the antipode law and
+        multiplicativity of Delta fail, checked on basis vectors."""
+        pi, dim, e = self.pi, self.dim, self.pi.identity
+        mul, S, cop = self.mul, self.S, self.cop
+        els = range(pi.order)
+        failed = set()
+        for a in els:
+            m, d = mul[a], range(dim[a])
+            for i, j, k in itertools.product(d, repeat=3):
+                # (e_i e_j) e_k and e_i (e_j e_k), as {p: coefficient of e_p}
+                lhs = collect(
+                    (p, m[i][j][q] * r) for q in d if m[i][j][q] for p, r in enumerate(m[q][k])
+                )
+                rhs = collect(
+                    (p, m[j][k][q] * r) for q in d if m[j][k][q] for p, r in enumerate(m[i][q])
+                )
+                if lhs != rhs:
+                    failed.add("associativity")
+        for a, b, c in itertools.product(els, repeat=3):
+            ab, bc = pi.mul[a][b], pi.mul[b][c]
+            for i in range(dim[pi.mul[ab][c]]):
+                lhs = collect(
+                    ((j, k, l), v * w)
+                    for (m, l), v in cop[(ab, c)][i].items()
+                    for (j, k), w in cop[(a, b)][m].items()
+                )
+                rhs = collect(
+                    ((j, k, l), v * w)
+                    for (j, m), v in cop[(a, bc)][i].items()
+                    for (k, l), w in cop[(b, c)][m].items()
+                )
+                if lhs != rhs:
+                    failed.add("coassociativity")
+        for a in els:
+            ai, d = pi.inverse[a], range(dim[a])
+            for i in range(dim[e]):
+                want = collect((p, self.eps[i] * u) for p, u in enumerate(self.unit[a]))
+                left = collect(
+                    (p, c * S[ai][j][q] * r)
+                    for (j, k), c in cop[(ai, a)][i].items()
+                    for q in d
+                    if S[ai][j][q]
+                    for p, r in enumerate(mul[a][q][k])
+                )
+                right = collect(
+                    (p, c * S[ai][k][q] * r)
+                    for (j, k), c in cop[(a, ai)][i].items()
+                    for q in d
+                    if S[ai][k][q]
+                    for p, r in enumerate(mul[a][j][q])
+                )
+                if not left == right == want:
+                    failed.add("antipode law")
+        for a, b in itertools.product(els, repeat=2):
+            ab, dd = pi.mul[a][b], cop[(a, b)]
+            for i1, i2 in itertools.product(range(dim[ab]), repeat=2):
+                lhs = collect(
+                    (key, c * w)
+                    for q, c in enumerate(mul[ab][i1][i2])
+                    if c
+                    for key, w in dd[q].items()
+                )
+                rhs = collect(
+                    ((j, k), c1 * c2 * v * w)
+                    for (j1, k1), c1 in dd[i1].items()
+                    for (j2, k2), c2 in dd[i2].items()
+                    for j, v in enumerate(mul[a][j1][j2])
+                    if v
+                    for k, w in enumerate(mul[b][k1][k2])
+                    if w
+                )
+                if lhs != rhs:
+                    failed.add("Delta multiplicative")
+        return failed
+
+
+# Violation text of validate_hopf for each axiom the dense reference checks.
+AXIOM_TEXT = {
+    "associativity": "associativity fails in",
+    "coassociativity": "coassociativity fails at",
+    "antipode law": "antipode law",
+    "Delta multiplicative": "is not multiplicative at basis pair",
+}
+
+
 # -- constructors -----------------------------------------------------------
 
 
@@ -45,9 +186,9 @@ def test_kp_basic_structure(kp):
     assert kp.dim == (4, 4)
     # coproduct of the first idempotent starts with 1/2 e11 (x) e11
     half = Scalar(1) / Scalar(2)
-    assert kp.delta[(1, 1)][0][0][0] == half
+    assert kp.delta[(1, 1)].entry((0, 0, 0)) == half
     # antipode on the matrix component is transposition: e12 -> e21
-    assert kp.antipode[1][1][2] == ONE and kp.antipode[1][1][1] == ZERO
+    assert kp.antipode[1].entry((1, 2)) == ONE and kp.antipode[1].entry((1, 1)) == ZERO
 
 
 def test_kp_validates(kp):
@@ -55,10 +196,11 @@ def test_kp_validates(kp):
 
 
 def test_kp_involutory_explicitly(kp):
+    ref = Dense(kp)
     for a in (0, 1):
         for i in range(4):
-            x = basis_vector(4, i)
-            assert apply_antipode(kp, a, apply_antipode(kp, a, x)) == x
+            x = ref.basis(a, i)
+            assert ref.antipode(a, ref.antipode(a, x)) == x
 
 
 def test_function_hopf_dims(fs3):
@@ -95,10 +237,11 @@ def test_empty_components_allowed():
 
 
 def test_shape_check_catches_malformed(kp):
-    bad = replace_field(kp, counit=kp.counit[:-1])
+    bad = replace(kp, counit=GradedTensor((Leg("in", 3),), {(0,): ONE}))
     with pytest.raises(StructureError):
         check_shapes(bad)
-    bad = replace_field(kp, mul={0: kp.mul[0], 1: kp.mul[1][:-1]})
+    stray = GradedTensor(kp.mul[1].legs, {**kp.mul[1].data, (0, 0, 4): ONE})
+    bad = replace(kp, mul={0: kp.mul[0], 1: stray})
     with pytest.raises(StructureError):
         validate_hopf(bad)
 
@@ -130,16 +273,17 @@ def test_structural_lemmas_all_constructors():
 def test_trace_symmetry_randomized(kp):
     rng = random.Random(1)
     integral = derive_integral_data(kp)
+    ref = Dense(kp)
     for a in (0, 1):
         T = integral.trace[a]
         for _ in range(25):
             x = tuple(Scalar(rng.randint(-3, 3)) for _ in range(4))
             y = tuple(Scalar(rng.randint(-3, 3)) for _ in range(4))
-            xy = vec_multiply(kp, a, x, y)
-            yx = vec_multiply(kp, a, y, x)
+            xy = ref.prod(a, x, y)
+            yx = ref.prod(a, y, x)
             t = lambda v: sum((T[i] * v[i] for i in range(4)), ZERO)
             assert t(xy) == t(yx)
-            sx = apply_antipode(kp, a, x)
+            sx = ref.antipode(a, x)
             Ti = integral.trace[kp.pi.inverse[a]]
             assert sum((Ti[i] * sx[i] for i in range(4)), ZERO) == t(x)
 
@@ -183,7 +327,7 @@ def test_iterated_delta_nesting_equivalence(kp):
         full = {}
         for (j, p), v in partial.data.items():
             sub = iterated_delta(
-                kp, rest, basis_vector(4, p)
+                kp, rest, tuple(ONE if k == p else ZERO for k in range(4))
             )
             for key, w in sub.data.items():
                 k = (j,) + key
@@ -202,22 +346,9 @@ def test_iterated_delta_errors(kp):
 
 
 def test_single_mutation_example(kp):
-    mutated = replace_field(
-        kp,
-        delta={
-            **kp.delta,
-            (0, 0): tuple(
-                tuple(
-                    tuple(
-                        v + ONE if (i, j, k) == (0, 0, 0) else v
-                        for k, v in enumerate(row)
-                    )
-                    for j, row in enumerate(block)
-                )
-                for i, block in enumerate(kp.delta[(0, 0)])
-            ),
-        },
-    )
+    d00 = kp.delta[(0, 0)]
+    bumped = GradedTensor(d00.legs, {**d00.data, (0, 0, 0): d00.entry((0, 0, 0)) + ONE})
+    mutated = replace(kp, delta={**kp.delta, (0, 0): bumped})
     assert not validate_hopf(mutated).passed
 
 
@@ -232,6 +363,26 @@ def test_mutation_sensitivity(kp):
                 mutated, integral, cyclic_bound=2
             ).passed
         assert broken, f"mutation went undetected: {desc}"
+
+
+def test_dense_reference_agrees(kp, fs3):
+    rng = random.Random(2024)
+    algebras = [kp, dual_variants(kp, "opposite"), dual_variants(kp, "coopposite"), fs3]
+    algebras += [mutate_algebra(kp, rng)[1] for _ in range(20)]
+    for H in algebras:
+        violations = validate_hopf(H).violations
+        engine = {
+            axiom for axiom, text in AXIOM_TEXT.items() if any(text in v for v in violations)
+        }
+        assert engine == Dense(H).failures()
+
+
+def test_validators_share_the_entry_cap(kp, monkeypatch, capsys):
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "3")
+    with pytest.raises(EntryCapExceeded):
+        validate_hopf(kp)
+    assert main(["validate-algebra", "kp"]) == 1
+    assert "resource error" in capsys.readouterr().err
 
 
 # -- duals ------------------------------------------------------------------------
@@ -263,11 +414,11 @@ def test_dual_kind_rejected(kp):
 
 
 def test_matrix_inverse():
-    m = ((ONE, ONE), (ZERO, ONE))
-    inv = matrix_inverse(m, 2)
-    assert inv == ((ONE, -ONE), (ZERO, ONE))
+    legs = (Leg("in", 2), Leg("out", 2))
+    m = GradedTensor(legs, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})
+    assert m.inverse().data == {(0, 0): ONE, (0, 1): -ONE, (1, 1): ONE}
     with pytest.raises(ZeroDivisionError):
-        matrix_inverse(((ONE, ONE), (ONE, ONE)), 2)
+        GradedTensor(legs, {(i, j): ONE for i in range(2) for j in range(2)}).inverse()
 
 
 # -- crossing -----------------------------------------------------------------------
@@ -279,7 +430,7 @@ def test_identity_crossing(kp):
 
 
 def test_crossing_absent_is_warning(fs3):
-    stripped = replace_field(fs3, crossing=None)
+    stripped = replace(fs3, crossing=None)
     report = validate_crossing(stripped)
     assert report.passed and report.warnings
 
@@ -293,16 +444,17 @@ def test_crossing_mutation_detected(kp):
     cr = {
         b: dict(kp.crossing[b]) for b in kp.crossing
     }
-    flipped = [list(row) for row in cr[1][1]]
-    flipped[0][1], flipped[0][0] = flipped[0][0], flipped[0][1]
-    cr[1][1] = tuple(tuple(r) for r in flipped)
-    bad = replace_field(kp, crossing=cr)
+    m = cr[1][1]
+    flipped = dict(m.data)
+    flipped[0, 1], flipped[0, 0] = m.entry((0, 0)), m.entry((0, 1))
+    cr[1][1] = GradedTensor(m.legs, flipped)
+    bad = replace(kp, crossing=cr)
     assert not validate_crossing(bad).passed
 
 
 def test_conjugation_crossing_s3(s3):
     idhom = GroupHom(s3, s3, tuple(range(6)))
-    H = replace_field(
+    H = replace(
         build_function_hopf(idhom), crossing=conjugation_crossing(idhom)
     )
     assert validate_crossing(H).passed

@@ -11,7 +11,6 @@ from hopfk.scalars import (
     ZERO,
     format_scalar,
     parse_scalar,
-    scalar_arithmetic,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -75,15 +74,6 @@ def test_format_canonical():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
-
-
-def test_named_operations():
-    assert scalar_arithmetic(Scalar(2), Scalar(3), "add") == Scalar(5)
-    assert scalar_arithmetic(Scalar(2), Scalar(3), "mul") == Scalar(6)
-    assert scalar_arithmetic(Scalar(2), Scalar(3), "sub") == Scalar(-1)
-    assert scalar_arithmetic(Scalar(3), Scalar(2), "div") == Scalar(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        scalar_arithmetic(ONE, ONE, "pow")
 
 
 def test_immutability_and_hash():
