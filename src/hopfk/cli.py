@@ -57,6 +57,20 @@ def _emit_report(name: str, report: Report, as_json: bool):
     return report.passed
 
 
+def _colored_diagram(args, pi):
+    """Load ``args.diagram`` colored over ``pi`` and validate it.  Returns
+    (D, 0), or (None, exit code) after reporting why it cannot be used."""
+    D = load_diagram(args.diagram, pi)
+    if not D.colored:
+        print("error: diagram file carries no colors", file=sys.stderr)
+        return None, 2
+    report = validate_diagram(D)
+    if not report.passed:
+        _emit_report("validate_diagram", report, args.json)
+        return None, 1
+    return D, 0
+
+
 def cmd_validate_algebra(args) -> int:
     H = load_algebra(args.algebra)
     ok = _emit_report("validate_hopf", validate_hopf(H), args.json)
@@ -70,14 +84,9 @@ def cmd_validate_algebra(args) -> int:
 
 def cmd_invariant(args) -> int:
     H = load_algebra(args.algebra)
-    D = load_diagram(args.diagram, H.pi)
-    if not D.colored:
-        print("error: diagram file carries no colors", file=sys.stderr)
-        return 2
-    report = validate_diagram(D)
-    if not report.passed:
-        _emit_report("validate_diagram", report, args.json)
-        return 1
+    D, code = _colored_diagram(args, H.pi)
+    if D is None:
+        return code
     Z, K = contract_invariant(H, D)
     if args.json:
         print(json.dumps(result_record(D, Z, K), sort_keys=True))
@@ -131,14 +140,9 @@ def cmd_lens_table(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     phi = load_hom(args.phi)
-    D = load_diagram(args.diagram, phi.target)
-    if not D.colored:
-        print("error: diagram file carries no colors", file=sys.stderr)
-        return 2
-    report = validate_diagram(D)
-    if not report.passed:
-        _emit_report("validate_diagram", report, args.json)
-        return 1
+    D, code = _colored_diagram(args, phi.target)
+    if D is None:
+        return code
     H = build_function_hopf(phi)
     Z, K = contract_invariant(H, D)
     n = count_lifts(LiftCountQuery(tuple(extract_words(D)), D.colors, phi))
@@ -163,14 +167,9 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_move_fuzz(args) -> int:
     H = load_algebra(args.algebra)
-    D = load_diagram(args.diagram, H.pi)
-    if not D.colored:
-        print("error: diagram file carries no colors", file=sys.stderr)
-        return 2
-    report = validate_diagram(D)
-    if not report.passed:
-        _emit_report("validate_diagram", report, args.json)
-        return 1
+    D, code = _colored_diagram(args, H.pi)
+    if D is None:
+        return code
     rng = random.Random(args.seed)
     Z0, K0 = contract_invariant(H, D)
     steps = []

@@ -224,16 +224,6 @@ class Report:
     def warn(self, message: str):
         self.warnings.append(message)
 
-    def extend(self, other: "Report"):
-        self.violations.extend(other.violations)
-        self.warnings.extend(other.warnings)
-
-    def __str__(self):
-        lines = ["pass" if self.passed else "FAIL"]
-        lines += [f"  violation: {v}" for v in self.violations]
-        lines += [f"  warning: {w}" for w in self.warnings]
-        return "\n".join(lines)
-
 
 def validate_hom(hom: GroupHom) -> Report:
     report = Report()
@@ -275,7 +265,9 @@ def sign_hom_s3() -> GroupHom:
 
 
 def mod_hom(n: int, m: int) -> GroupHom:
-    """Reduction Z/n -> Z/m (requires m | n)."""
+    """Reduction Z/n -> Z/m (requires m >= 1 and m | n)."""
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
     if n % m:
         raise ValueError("reduction requires m | n")
     return GroupHom(cyclic_group(n), cyclic_group(m), tuple(k % m for k in range(n)))

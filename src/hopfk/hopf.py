@@ -286,7 +286,7 @@ class IntegralData:
 
 
 def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
-    """T_a(x) is the trace of left multiplication by x on H_a; C is the
+    """T_a(x) is the trace of right multiplication by x on H_a; C is the
     image of the trace of the identity under Delta_{1,1}."""
     pi = H.pi
     trace = {}

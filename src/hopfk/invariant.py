@@ -3,9 +3,10 @@
 Each upper circle contributes the trace form composed with the iterated
 product of its component algebra; each lower circle contributes the
 iterated coproduct of the cotrace.  Crossings pair the corresponding
-legs, with the antipode interposed at negative crossings.  The network
-is contracted one small node at a time, so memory stays proportional to
-the largest open frontier instead of the full circle tensors.
+legs; a negative crossing's leg passes through its own antipode node.
+The nodes are the stored structure tensors, only relabelled, and
+``contract_network`` contracts them a pair at a time, so memory stays
+proportional to the largest open frontier, not the full circle tensors.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ def _upper_nodes(H, integral, D, k):
     a = D.colors[k]
     order = D.upper_orders[k]
     if not order:
-        trace = GradedTensor.vector("out", integral.trace[a])
-        return [trace.contract(H.unit[a])]
+        # The empty product is the unit, joined to the trace on a fresh leg.
+        unit = H.unit[a].relabel({"out": ("u", k, 0)})
+        return [unit, GradedTensor.vector(("u", k, 0), integral.trace[a])]
     # pending[t] carries the product of the first t + 1 crossing legs.
     pending = [("x", order[0])] + [("u", k, t) for t in range(1, len(order))]
     nodes = [
@@ -38,21 +40,23 @@ def _upper_nodes(H, integral, D, k):
 
 def _lower_nodes(H, integral, D, i):
     """Node chain for lower circle i: the iterated coproduct of the
-    cotrace, one comultiplication per node, with the antipode folded into
-    negatively-signed crossing legs."""
+    cotrace, one comultiplication per node.  The leg of a negative
+    crossing c is named ("s", c) and reaches ("x", c) through its own
+    antipode node."""
     pi = H.pi
     cmap = D.crossing_map()
     order = D.lower_orders[i]
     m = len(order)
     if m == 0:
-        cotrace = GradedTensor.vector("in", integral.cotrace)
-        return [cotrace.contract(H.counit)]
-    gradings = []
-    for cid in order:
-        c = cmap[cid]
-        a = D.colors[c.upper]
-        gradings.append(a if c.sign == 1 else pi.inverse[a])
-    # Suffix products: pending leg t carries gradings[t-1] * ... * gradings[m-1].
+        # The empty coproduct is the counit, joined to the cotrace on a fresh leg.
+        counit = H.counit.relabel({"in": ("d", i, 0)})
+        return [GradedTensor.vector(("d", i, 0), integral.cotrace), counit]
+    crossings = [cmap[cid] for cid in order]
+    gradings = [
+        D.colors[c.upper] if c.sign == 1 else pi.inverse[D.colors[c.upper]]
+        for c in crossings
+    ]
+    # Suffix products: pending leg t carries gradings[t] * ... * gradings[m-1].
     suffix = [pi.identity] * (m + 1)
     for t in range(m - 1, -1, -1):
         suffix[t] = pi.mul[gradings[t]][suffix[t + 1]]
@@ -61,30 +65,26 @@ def _lower_nodes(H, integral, D, i):
             f"lower circle {i} grading product is not the identity; "
             "diagram colors are inconsistent"
         )
-
-    def finish_leg(node, label, t):
-        """Fold the antipode into a negative crossing leg and name it."""
-        c = cmap[order[t]]
-        if c.sign == 1:
-            return node.relabel({label: ("x", c.id)})
-        # S maps the component graded a^-1 into the one graded a.
-        S = H.antipode[pi.inverse[D.colors[c.upper]]]
-        return node.contract(S.relabel({"in": label, "out": ("x", c.id)}))
-
-    nodes = [GradedTensor.vector(("d", i, 0), integral.cotrace)]
-    for t in range(m - 1):
-        node = H.delta[(gradings[t], suffix[t + 1])].relabel(
-            {"in": ("d", i, t), "out1": ("tmp", i, t), "out2": ("d", i, t + 1)}
-        )
-        nodes.append(finish_leg(node, ("tmp", i, t), t))
+    legs = [("x", c.id) if c.sign == 1 else ("s", c.id) for c in crossings]
     # The final pending leg is the last crossing leg itself.
-    nodes[-1] = finish_leg(nodes[-1], ("d", i, m - 1), m - 1)
-    return nodes
+    pending = [("d", i, t) for t in range(m - 1)] + [legs[-1]]
+    nodes = [GradedTensor.vector(pending[0], integral.cotrace)]
+    nodes += [
+        H.delta[(gradings[t], suffix[t + 1])].relabel(
+            {"in": pending[t], "out1": legs[t], "out2": pending[t + 1]}
+        )
+        for t in range(m - 1)
+    ]
+    # S maps the component graded a^-1 into the one graded a.
+    return nodes + [
+        H.antipode[g].relabel({"in": ("s", c.id), "out": ("x", c.id)})
+        for c, g in zip(crossings, gradings)
+        if c.sign == -1
+    ]
 
 
-def diagram_nodes(H: HopfPiCoalgebra, D: Diagram, integral=None):
-    if integral is None:
-        integral = derive_integral_data(H)
+def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
+    integral = derive_integral_data(H)
     nodes = []
     for k in range(D.genus):
         nodes.extend(_upper_nodes(H, integral, D, k))
@@ -93,7 +93,7 @@ def diagram_nodes(H: HopfPiCoalgebra, D: Diagram, integral=None):
     return nodes
 
 
-def contract_invariant(H: HopfPiCoalgebra, D: Diagram, cap=None, rng=None):
+def contract_invariant(H: HopfPiCoalgebra, D: Diagram, rng=None):
     """Return (Z, K) for a colored diagram; K = Z / (dim H_1)^genus."""
     if not D.colored:
         raise ValueError("diagram must be colored")
@@ -102,7 +102,6 @@ def contract_invariant(H: HopfPiCoalgebra, D: Diagram, cap=None, rng=None):
     report = validate_diagram(D)
     if not report.passed:
         raise ValueError("invalid diagram: " + "; ".join(report.violations))
-    Z = contract_network(diagram_nodes(H, D), cap=cap, rng=rng).as_scalar()
+    Z = contract_network(diagram_nodes(H, D), rng=rng).as_scalar()
     norm = Scalar(H.dim_identity ** D.genus)
     return Z, Z / norm
-

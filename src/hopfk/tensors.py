@@ -132,11 +132,12 @@ class GradedTensor:
 
     # -- contraction ---------------------------------------------------------
 
-    def contract(self, other: "GradedTensor", cap=None) -> "GradedTensor":
+    def contract(self, other: "GradedTensor") -> "GradedTensor":
         """Contract all legs whose labels appear in both tensors.
 
         Matching legs must agree in dimension; the result keeps the
-        remaining legs of ``self`` followed by those of ``other``.
+        remaining legs of ``self`` followed by those of ``other``.  Raises
+        ``EntryCapExceeded`` if its dense size exceeds ``entry_cap()``.
         """
         shared = set(self.labels) & set(other.labels)
         my_keep = [i for i, leg in enumerate(self.legs) if leg.label not in shared]
@@ -151,7 +152,7 @@ class GradedTensor:
                     f"{self.legs[i].dim} vs {other.legs[j].dim}"
                 )
         legs = tuple(self.legs[i] for i in my_keep) + tuple(other.legs[j] for j in ot_keep)
-        limit = cap if cap is not None else entry_cap()
+        limit = entry_cap()
         n = 1
         for leg in legs:
             n *= leg.dim
@@ -196,7 +197,7 @@ class GradedTensor:
         return f"GradedTensor(legs={self.labels}, nnz={len(self.data)})"
 
 
-def contract_network(nodes, cap=None, rng=None) -> GradedTensor:
+def contract_network(nodes, rng=None) -> GradedTensor:
     """Contract a list of tensors into one, keeping the open legs.
 
     Repeatedly contracts a pair of tensors sharing a leg.  By default the
@@ -227,10 +228,10 @@ def contract_network(nodes, cap=None, rng=None) -> GradedTensor:
             _, a, b = min(candidates)
         else:
             _, a, b = candidates[rng.randrange(len(candidates))]
-        merged = pool[a].contract(pool[b], cap=cap)
+        merged = pool[a].contract(pool[b])
         pool = [t for i, t in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
     result = pool[0] if pool else GradedTensor.scalar(ONE)
     for t in pool[1:]:
-        result = result.contract(t, cap=cap)
+        result = result.contract(t)
     return result

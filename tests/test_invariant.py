@@ -4,8 +4,15 @@ from dataclasses import replace
 import pytest
 
 from hopfk.fuzz import random_diagram, random_move_walk
-from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
+from hopfk.groups import (
+    GroupHom,
+    cyclic_group,
+    sign_hom_s3,
+    symmetric_group,
+    trivial_hom,
+)
 from hopfk.heegaard import (
+    Diagram,
     MoveSpec,
     apply_move,
     connected_sum,
@@ -75,6 +82,23 @@ def test_zero_crossing_circles(fs3, z2):
     assert K == Scalar(1)
 
 
+def test_crossing_free_circles(kp, z2, s3):
+    # S^1 x S^2: one handle whose circles meet nothing, so the upper circle
+    # gives trace . unit and the lower one cotrace . counit
+    D = Diagram(1, (), ((),), ((),))
+    E = D.with_colors(z2, (0,))
+    assert contract_invariant(kp, E) == (Scalar(16), Scalar(4))
+    for phi, K in ((sign_hom_s3(), 3), (trivial_hom(s3), 6)):
+        E = D.with_colors(phi.target, (0,))
+        assert contract_invariant(build_function_hopf(phi), E)[1] == Scalar(K)
+        assert count_lifts(LiftCountQuery(extract_words(E), (0,), phi)) == K
+    # next to a handle with crossings
+    S = connected_sum(lens_diagram(4), D)
+    for colors in enumerate_colorings(S, z2):
+        K = contract_invariant(kp, S.with_colors(z2, colors))[1]
+        assert K == Scalar(16 if colors[0] == 0 else 0), colors
+
+
 def test_requires_colors(kp):
     with pytest.raises(ValueError):
         contract_invariant(kp, lens_diagram(2))
@@ -88,9 +112,11 @@ def test_rejects_invalid_coloring(kp, z2):
 
 def test_order_independence(kp, z2):
     D = connected_sum(lens_diagram(2), lens_diagram(4)).with_colors(z2, (1, 1))
-    base = contract_invariant(kp, D)
-    for seed in range(5):
-        assert contract_invariant(kp, D, rng=random.Random(seed)) == base
+    # the mirror's negative crossings add antipode nodes for rng to shuffle
+    for E in (D, mirror_diagram(D)):
+        base = contract_invariant(kp, E)
+        for seed in range(5):
+            assert contract_invariant(kp, E, rng=random.Random(seed)) == base
 
 
 def test_rotation_and_relabel_independence(kp, z2):
@@ -171,8 +197,6 @@ def test_conjugate_colors_s3():
 
 def test_entry_cap_enforced(kp, z2, monkeypatch):
     D = lens_diagram(6).with_colors(z2, (1,))
-    with pytest.raises(EntryCapExceeded):
-        contract_invariant(kp, D, cap=3)
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "3")
     with pytest.raises(EntryCapExceeded):
         contract_invariant(kp, D)

@@ -72,8 +72,9 @@ def test_relabel_permute():
 def test_entry_cap(monkeypatch):
     big = matrix("a", "b", [[1] * 4] * 4)
     other = matrix("b", "c", [[1] * 4] * 4)
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
     with pytest.raises(EntryCapExceeded):
-        big.contract(other, cap=8)
+        big.contract(other)
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "12345")
     assert entry_cap() == 12345
 
