@@ -26,7 +26,6 @@ from .hopf import (
     HopfPiCoalgebra,
     IntegralData,
     validate_hopf,
-    iterated_delta,
     derive_integral_data,
     check_structural_lemmas,
     build_function_hopf,

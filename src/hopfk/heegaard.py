@@ -347,38 +347,24 @@ def _apply_relabel(D, m):
 
 def _apply_reverse(D, m):
     k = m.index
-    if m.circle == "upper":
-        if not (0 <= k < D.genus):
-            raise MoveError(f"no upper circle {k}")
-        order = tuple(reversed(D.upper_orders[k]))
-        on_circle = set(order)
-        crossings = tuple(
-            Crossing(c.id, c.upper, c.lower, -c.sign if c.id in on_circle else c.sign)
-            for c in D.crossings
-        )
-        upper = tuple(
-            order if i == k else o for i, o in enumerate(D.upper_orders)
-        )
-        colors = D.colors
-        if D.colored:
-            colors = tuple(
-                D.pi.inverse[a] if i == k else a for i, a in enumerate(D.colors)
-            )
-        return Diagram(D.genus, crossings, upper, D.lower_orders, colors, D.pi)
+    if m.circle not in ("upper", "lower"):
+        raise MoveError(f"unknown circle family {m.circle!r}")
+    if not (0 <= k < D.genus):
+        raise MoveError(f"no {m.circle} circle {k}")
+    orders = D.upper_orders if m.circle == "upper" else D.lower_orders
+    on_circle = set(orders[k])
+    orders = tuple(tuple(reversed(o)) if i == k else o for i, o in enumerate(orders))
+    crossings = tuple(
+        Crossing(c.id, c.upper, c.lower, -c.sign if c.id in on_circle else c.sign)
+        for c in D.crossings
+    )
     if m.circle == "lower":
-        if not (0 <= k < D.genus):
-            raise MoveError(f"no lower circle {k}")
-        order = tuple(reversed(D.lower_orders[k]))
-        on_circle = set(order)
-        crossings = tuple(
-            Crossing(c.id, c.upper, c.lower, -c.sign if c.id in on_circle else c.sign)
-            for c in D.crossings
-        )
-        lower = tuple(
-            order if i == k else o for i, o in enumerate(D.lower_orders)
-        )
-        return Diagram(D.genus, crossings, D.upper_orders, lower, D.colors, D.pi)
-    raise MoveError(f"unknown circle family {m.circle!r}")
+        return replace(D, crossings=crossings, lower_orders=orders)
+    colors = D.colors
+    if D.colored:
+        # Only an upper circle carries a color; reversing it inverts the color.
+        colors = tuple(D.pi.inverse[a] if i == k else a for i, a in enumerate(D.colors))
+    return replace(D, crossings=crossings, upper_orders=orders, colors=colors)
 
 
 def _apply_two_point_insert(D, m):
@@ -455,17 +441,10 @@ def _apply_two_point_remove(D, m):
 def _apply_stabilize(D, m):
     if m.sign not in (1, -1):
         raise MoveError("stabilize sign must be +-1")
-    cid = D.fresh_id()
-    crossings = D.crossings + (Crossing(cid, D.genus, D.genus, m.sign),)
-    colors = D.colors + (D.pi.identity,) if D.colored else None
-    return Diagram(
-        D.genus + 1,
-        crossings,
-        D.upper_orders + ((cid,),),
-        D.lower_orders + ((cid,),),
-        colors,
-        D.pi,
-    )
+    handle = Diagram(1, (Crossing(0, 0, 0, m.sign),), ((0,),), ((0,),))
+    if D.colored:
+        handle = handle.with_colors(D.pi, (D.pi.identity,))
+    return connected_sum(D, handle)
 
 
 def _apply_destabilize(D, m):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .groups import GroupHom, evaluate_word
 
-DEFAULT_SEARCH_CAP = 100_000_000
+SEARCH_CAP = 100_000_000
 
 
 class SearchSpaceExceeded(RuntimeError):
@@ -32,7 +32,7 @@ class LiftCountQuery:
         object.__setattr__(self, "colors", tuple(self.colors))
 
 
-def count_lifts(q: LiftCountQuery, cap: int = DEFAULT_SEARCH_CAP) -> int:
+def count_lifts(q: LiftCountQuery) -> int:
     """#{(g_1..g_n) with phi(g_k) = colors[k] and every relator = 1 in G}."""
     G = q.phi.source
     for w in q.words:
@@ -46,9 +46,9 @@ def count_lifts(q: LiftCountQuery, cap: int = DEFAULT_SEARCH_CAP) -> int:
     space = 1
     for f in fibers:
         space *= len(f)
-        if space > cap:
+        if space > SEARCH_CAP:
             raise SearchSpaceExceeded(
-                f"fiber product exceeds {cap} tuples; refusing to enumerate"
+                f"fiber product exceeds {SEARCH_CAP} tuples; refusing to enumerate"
             )
     count = 0
     for assignment in itertools.product(*fibers):

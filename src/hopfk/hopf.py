@@ -85,15 +85,20 @@ def structure_tensor(pi: GroupTable, dim, field, key, data) -> GradedTensor:
 
 
 def check_shapes(H: HopfPiCoalgebra):
-    """Raise StructureError if a structure map is missing, has legs other
-    than ``structure_legs`` prescribes, or stores a key out of range."""
+    """Raise StructureError if a structure map (or, when there is a
+    crossing, a crossing component) is missing, has legs other than
+    ``structure_legs`` prescribes, or stores a key out of range."""
     pi, order = H.pi, range(H.pi.order)
     if len(H.dim) != pi.order:
         raise StructureError("dim list length differs from group order")
     maps = [("counit", None)] + [(f, a) for f in ("mul", "unit", "antipode") for a in order]
     maps += [("delta", ab) for ab in itertools.product(order, repeat=2)]
+    stored = {f: getattr(H, f) for f, _ in maps}
+    if H.crossing is not None:
+        maps += [("crossing", ba) for ba in itertools.product(order, repeat=2)]
+        stored["crossing"] = {(b, a): t for b, row in H.crossing.items() for a, t in row.items()}
     for field, key in maps:
-        t = getattr(H, field)
+        t = stored[field]
         if key is not None:
             if key not in t:
                 raise StructureError(f"missing {field} component at {key}")
@@ -246,32 +251,38 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     return report
 
 
-# -- iterated comultiplication -----------------------------------------------
+# -- iterated products and coproducts -------------------------------------------
 
 
-def iterated_delta(H: HopfPiCoalgebra, grading, x) -> GradedTensor:
-    """Left-nested iterate of Delta along the given grading sequence.
+def product_chain(H: HopfPiCoalgebra, a, legs, tag):
+    """The ``mul[a]`` nodes that multiply the vectors on ``legs`` from left
+    to right, and the leg that carries the product.  Fresh legs are named
+    ``(*tag, t)``; the empty product is the unit of H_a, on ``(*tag, 0)``."""
+    legs = list(legs)
+    if not legs:
+        return [_at(H.unit[a], [(*tag, 0)])], (*tag, 0)
+    # pending[t] carries the product of the first t + 1 legs.
+    pending = legs[:1] + [(*tag, t) for t in range(1, len(legs))]
+    nodes = [_at(H.mul[a], (pending[t - 1], legs[t], pending[t])) for t in range(1, len(legs))]
+    return nodes, pending[-1]
 
-    ``x`` is a coefficient vector in the component graded by the product of
-    ``grading``; the result has legs labeled 0..n-1.
-    """
-    grading = tuple(grading)
-    if not grading:
-        raise ValueError("grading sequence must be non-empty")
-    pi = H.pi
-    prefix = [pi.identity]
-    for a in grading:
-        prefix.append(pi.mul[prefix[-1]][a])
-    if len(x) != H.dim[prefix[-1]]:
-        raise ValueError("vector length does not match graded component")
-    n = len(grading)
-    cur = GradedTensor.vector(("pend", n), x)
-    # Peel the last grading off the pending leg, one Delta per step.
-    for t in range(n - 1, 0, -1):
-        node = _at(H.delta[(prefix[t], grading[t])], (("pend", t + 1), ("pend", t), t))
-        cur = cur.contract(node)
-    cur = cur.relabel({("pend", 1): 0})
-    return cur.permute([cur.axis(t) for t in range(n)])
+
+def coproduct_chain(H: HopfPiCoalgebra, grading, legs, tag):
+    """The right-nested ``delta`` nodes that split one vector over ``legs``,
+    leg t graded ``grading[t]``, and the leg that takes the vector.  Node t
+    is ``delta[(g_t, g_{t+1} ... g_{m-1})]``; fresh legs are named
+    ``(*tag, t)``; the empty coproduct is the counit, on ``(*tag, 0)``."""
+    legs, mul = list(legs), H.pi.mul
+    if not legs:
+        return [_at(H.counit, [(*tag, 0)])], (*tag, 0)
+    # suffix[t] = g_t ... g_{m-1} grades pending leg t.
+    suffix = list(itertools.accumulate(reversed(grading), lambda s, g: mul[g][s]))[::-1]
+    pending = [(*tag, t) for t in range(len(legs) - 1)] + legs[-1:]
+    nodes = [
+        _at(H.delta[(g, s)], (p, leg, q))
+        for g, s, p, leg, q in zip(grading, suffix[1:], pending, legs, pending[1:])
+    ]
+    return nodes, pending[0]
 
 
 # -- integral data -------------------------------------------------------------
@@ -362,9 +373,8 @@ def check_structural_lemmas(
     # T(x_0 x_1 ... x_{n-1}) must equal T(x_1 ... x_{n-1} x_0).
     for a in H.support():
         for arity in range(2, cyclic_bound + 1):
-            chain = [_at(mul[a], (0, 1, ("p", 1)))]
-            chain += [_at(mul[a], (("p", t - 1), t, ("p", t))) for t in range(2, arity)]
-            word = contract_network(chain + [_at(T[a], [("p", arity - 1)])])
+            chain, out = product_chain(H, a, range(arity), ("p",))
+            word = contract_network(chain + [_at(T[a], [out])])
             rotated = word.relabel({t: (t + 1) % arity for t in range(arity)})
             if not check(lambda k: f"trace product not cyclically symmetric in "
                          f"H_{names[a]} at {k} (arity {arity})",
@@ -373,6 +383,10 @@ def check_structural_lemmas(
 
     # Cyclic symmetry of the iterated coproduct of C: the coproduct along
     # the rotated grading, its legs shifted back by one, must give it back.
+    def split_C(grading, legs):
+        chain, root = coproduct_chain(H, grading, legs, ("q",))
+        return [_at(C, [root])] + chain
+
     support = H.support()
     for arity in range(2, cyclic_bound + 1):
         for grading in itertools.product(support, repeat=arity - 1):
@@ -380,11 +394,10 @@ def check_structural_lemmas(
             if last not in support:
                 continue
             full = grading + (last,)
-            rotated = iterated_delta(H, full[1:] + full[:1], integral.cotrace)
             check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading "
                   f"{tuple(names[g] for g in full)}", range(arity),
-                  [iterated_delta(H, full, integral.cotrace)],
-                  [rotated.relabel({t: (t + 1) % arity for t in range(arity)})])
+                  split_C(full, range(arity)),
+                  split_C(full[1:] + full[:1], [(t + 1) % arity for t in range(arity)]))
 
     return report
 
@@ -577,15 +590,13 @@ def validate_crossing(H: HopfPiCoalgebra) -> Report:
     if H.crossing is None:
         report.warn("crossing data not provided")
         return report
+    check_shapes(H)
     check = _checker(report)
     pi, names = H.pi, H.pi.names
     n, e = pi.order, pi.identity
     phi, mul, unit, delta, S, eps = H.crossing, H.mul, H.unit, H.delta, H.antipode, H.counit
 
     for b in range(n):
-        if b not in phi:
-            report.fail(f"crossing missing component for {names[b]}")
-            return report
         for a in range(n):
             t = pi.conjugate(b, a)
             if H.dim[a] != H.dim[t]:

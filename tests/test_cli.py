@@ -133,6 +133,15 @@ def test_cli_validate_algebra_catches_breakage(tmp_path, kp, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_validate_algebra_partial_crossing(tmp_path, kp, capsys):
+    data = dump_algebra(kp)
+    del data["crossing"]["0"]["1"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-algebra", str(path)]) == 2
+    assert "error: missing crossing component at (0, 1)" in capsys.readouterr().err
+
+
 def test_cli_invariant(rp3_file, capsys):
     assert main(["invariant", "--algebra", "kp", "--diagram", rp3_file]) == 0
     assert "K = 2" in capsys.readouterr().out

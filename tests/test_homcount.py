@@ -4,7 +4,7 @@ import pytest
 
 from hopfk.fuzz import random_diagram
 from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
-from hopfk.heegaard import enumerate_colorings, extract_words, lens_diagram
+from hopfk.heegaard import connected_sum, enumerate_colorings, extract_words, lens_diagram
 from hopfk.homcount import LiftCountQuery, SearchSpaceExceeded, count_lifts
 from hopfk.hopf import build_function_hopf
 from hopfk.invariant import contract_invariant
@@ -58,21 +58,18 @@ def test_agrees_with_contraction(oracle_homs):
 
 
 def test_search_space_cap():
-    s3 = symmetric_group(3)
-    phi = trivial_hom(s3)
+    # 24^6 (about 1.9e8) assignments of S4 lie over the trivial coloring of
+    # a genus-6 sum, more than the cap of 1e8: refused before enumerating.
+    phi = trivial_hom(symmetric_group(4))
     D = lens_diagram(2)
-    for _ in range(9):
-        from hopfk.heegaard import connected_sum
-
+    for _ in range(5):
         D = connected_sum(D, lens_diagram(2))
     q = LiftCountQuery(extract_words(D), (0,) * D.genus, phi)
-    with pytest.raises(SearchSpaceExceeded):
-        count_lifts(q, cap=1000)
+    with pytest.raises(SearchSpaceExceeded, match="exceeds 100000000 tuples"):
+        count_lifts(q)
 
 
 def test_color_length_mismatch():
-    from hopfk.heegaard import connected_sum
-
     phi = trivial_hom(cyclic_group(2))
     D = connected_sum(lens_diagram(2), lens_diagram(2))
     with pytest.raises(ValueError):

@@ -14,16 +14,17 @@ from hopfk.hopf import (
     check_shapes,
     check_structural_lemmas,
     conjugation_crossing,
+    coproduct_chain,
     derive_integral_data,
     dual_variants,
     identity_crossing_data,
-    iterated_delta,
+    product_chain,
     validate_crossing,
     validate_hopf,
     with_identity_crossing,
 )
 from hopfk.scalars import I, ONE, Scalar, ZERO
-from hopfk.tensors import EntryCapExceeded, GradedTensor, Leg
+from hopfk.tensors import EntryCapExceeded, GradedTensor, Leg, contract_network
 
 
 def all_constructors():
@@ -246,6 +247,20 @@ def test_shape_check_catches_malformed(kp):
         validate_hopf(bad)
 
 
+def test_shape_check_catches_partial_crossing(kp):
+    partial = {b: dict(row) for b, row in kp.crossing.items()}
+    del partial[0][1]
+    for crossing, key in ((partial, r"\(0, 1\)"), ({1: kp.crossing[1]}, r"\(0, 0\)")):
+        bad = replace(kp, crossing=crossing)
+        with pytest.raises(StructureError, match="missing crossing component at " + key):
+            check_shapes(bad)
+        with pytest.raises(StructureError):
+            validate_crossing(bad)
+    wide = GradedTensor((Leg("in", 4), Leg("out", 5)), {})
+    with pytest.raises(StructureError, match="crossing shape mismatch"):
+        check_shapes(replace(kp, crossing={**kp.crossing, 1: {**kp.crossing[1], 0: wide}}))
+
+
 # -- integral data -----------------------------------------------------------
 
 
@@ -291,9 +306,16 @@ def test_trace_symmetry_randomized(kp):
 # -- iterated coproduct ---------------------------------------------------------
 
 
+def split(H, grading, x):
+    """The iterated coproduct of the vector ``x`` along ``grading``, legs 0..n-1."""
+    chain, root = coproduct_chain(H, grading, range(len(grading)), ("q",))
+    t = contract_network(chain + [GradedTensor.vector(root, x)])
+    return t.permute([t.axis(i) for i in range(len(grading))])
+
+
 def test_iterated_delta_single_is_identity(kp):
     x = (ONE, Scalar(2), ZERO, I)
-    t = iterated_delta(kp, (1,), x)
+    t = split(kp, (1,), x)
     assert t.labels == (0,)
     assert tuple(t.entry((i,)) for i in range(4)) == x
 
@@ -304,7 +326,7 @@ def test_iterated_delta_function_algebra(fs3):
     fiber0 = phi.fiber(0)
     g = fiber0[1]
     x = tuple(ONE if h == g else ZERO for h in fiber0)
-    t = iterated_delta(fs3, (0, 0), x)
+    t = split(fs3, (0, 0), x)
     G = phi.source
     for j, h in enumerate(fiber0):
         for k, kk in enumerate(fiber0):
@@ -312,34 +334,21 @@ def test_iterated_delta_function_algebra(fs3):
             assert t.entry((j, k)) == expected
 
 
-def test_iterated_delta_nesting_equivalence(kp):
-    # left-nested must agree with splitting the first factor instead
-    rng = random.Random(3)
-    for grading in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)):
-        total = 0
-        for a in grading:
-            total ^= a
-        x = tuple(Scalar(rng.randint(-2, 2)) for _ in range(4))
-        left = iterated_delta(kp, grading, x)
-        # right-heavy: split head off the product of the rest
-        head, rest = grading[0], grading[1:]
-        partial = iterated_delta(kp, (head, total ^ head), x)
-        full = {}
-        for (j, p), v in partial.data.items():
-            sub = iterated_delta(
-                kp, rest, tuple(ONE if k == p else ZERO for k in range(4))
-            )
-            for key, w in sub.data.items():
-                k = (j,) + key
-                full[k] = full.get(k, ZERO) + v * w
-        assert {k: v for k, v in full.items() if not v.is_zero()} == left.data
-
-
-def test_iterated_delta_errors(kp):
-    with pytest.raises(ValueError):
-        iterated_delta(kp, (), (ONE,) * 4)
-    with pytest.raises(ValueError):
-        iterated_delta(kp, (0, 1), (ONE,))
+def test_empty_and_single_chains(kp):
+    # The empty product is the unit and the empty coproduct the counit, each
+    # on the fresh leg (*tag, 0); one leg needs no node and is its own end.
+    assert product_chain(kp, 1, [], ("u", 0)) == ([kp.unit[1].relabel({"out": ("u", 0, 0)})], ("u", 0, 0))
+    assert coproduct_chain(kp, (), [], ("d", 0)) == ([kp.counit.relabel({"in": ("d", 0, 0)})], ("d", 0, 0))
+    assert product_chain(kp, 1, ["a"], ("u", 0)) == ([], "a")
+    assert coproduct_chain(kp, (1,), ["a"], ("d", 0)) == ([], "a")
+    # Three legs: two nodes, fresh legs (*tag, 1), (*tag, 2) and (*tag, 0), (*tag, 1).
+    chain, out = product_chain(kp, 0, "abc", ("u", 0))
+    assert [t.labels for t in chain] == [("a", "b", ("u", 0, 1)), (("u", 0, 1), "c", ("u", 0, 2))]
+    assert out == ("u", 0, 2)
+    chain, root = coproduct_chain(kp, (1, 1, 0), "abc", ("d", 0))
+    assert [t.labels for t in chain] == [(("d", 0, 0), "a", ("d", 0, 1)), (("d", 0, 1), "b", "c")]
+    assert chain[0] == kp.delta[(1, 1)].relabel({"in": ("d", 0, 0), "out1": "a", "out2": ("d", 0, 1)})
+    assert root == ("d", 0, 0)
 
 
 # -- mutations ------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
+import hopfk
 from hopfk.scalars import Scalar, ZERO
 from hopfk.tensors import (
     EntryCapExceeded,
@@ -96,3 +99,19 @@ def test_network_order_independent():
     base = contract_network(list(nodes))
     for rng in rngs:
         assert contract_network(list(nodes), rng=rng) == base
+
+
+def test_contract_called_only_in_tensors():
+    # contract_network is the only place tensors are multiplied: no other
+    # module of the package calls an attribute named ``contract``.
+    package = pathlib.Path(hopfk.__file__).parent
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "tensors.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "contract"
+    ]
+    assert not callers
