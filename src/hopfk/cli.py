@@ -19,9 +19,9 @@ from .diagio import (
     load_hom,
     result_record,
 )
-from .groups import Report
+from .groups import Report, SearchSpaceExceeded
 from .heegaard import extract_words, enumerate_colorings, lens_diagram, validate_diagram
-from .homcount import LiftCountQuery, SearchSpaceExceeded, count_lifts
+from .homcount import LiftCountQuery, count_lifts
 from .hopf import (
     build_function_hopf,
     check_structural_lemmas,

@@ -7,6 +7,7 @@ by name; indices are resolved at load time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -23,11 +24,15 @@ from .groups import (
 )
 from .heegaard import Crossing, Diagram
 from .hopf import (
+    LAYOUT,
     HopfPiCoalgebra,
+    StructureError,
     build_function_hopf,
     build_kac_paljutkin,
     check_shapes,
+    component_key,
     structure_legs,
+    structure_maps,
     structure_tensor,
 )
 from .scalars import Scalar, ScalarParseError, format_scalar, parse_scalar
@@ -195,6 +200,43 @@ def builtin_algebra(name: str) -> HopfPiCoalgebra:
     raise UnknownNameError(f"unknown algebra name {name!r}")
 
 
+# How each structure map's JSON block nests its components: per level of
+# nesting, how many group element names the JSON key joins with "|".  The
+# counit is one component, not a block; delta is keyed "a|b"; the crossing
+# is keyed b, then a.  The elements, in order, make up the component key.
+_NESTING = {
+    "mul": (1,),
+    "unit": (1,),
+    "delta": (2,),
+    "counit": (),
+    "antipode": (1,),
+    "crossing": (1, 1),
+}
+
+
+def _json_path(pi: GroupTable, field, key) -> tuple:
+    """The JSON keys that lead to the component at ``key`` in ``field``'s block."""
+    elements = () if key is None else key if isinstance(key, tuple) else (key,)
+    names = iter([pi.names[x] for x in elements])
+    return tuple("|".join(itertools.islice(names, width)) for width in _NESTING[field])
+
+
+def _components(node, pi, widths, where, elements=()):
+    """(key, node, where) for every component of a block nested as
+    ``widths`` says; each label is resolved to its elements on the way down."""
+    if not widths:
+        yield component_key(elements), node, where
+        return
+    if not isinstance(node, dict):
+        raise DataFormatError(f"{where} must be an object keyed by group elements")
+    for label, child in node.items():
+        names = label.split("|") if widths[0] > 1 else [label]
+        if len(names) != widths[0]:
+            raise DataFormatError(f"{where} key {label!r} is not {widths[0]} names joined by '|'")
+        resolved = tuple(element_index(pi, name) for name in names)
+        yield from _components(child, pi, widths[1:], f"{where}[{label}]", elements + resolved)
+
+
 def parse_algebra(data) -> HopfPiCoalgebra:
     if isinstance(data, str):
         return builtin_algebra(data)
@@ -203,56 +245,21 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         dim = tuple(int(v) for v in data["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad algebra object: {exc}") from exc
-    if len(dim) != pi.order:
-        raise DataFormatError("dim list length differs from group order")
-
-    def per_element(block, field):
-        out = {}
-        for label, node in block.items():
-            a = element_index(pi, label)
-            out[a] = _parse_tensor(node, pi, dim, field, a, f"{field}[{label}]")
-        missing = set(range(pi.order)) - set(out)
-        if missing:
-            raise DataFormatError(
-                f"{field} missing components {[pi.names[a] for a in sorted(missing)]}"
-            )
-        return out
-
     try:
-        mul = per_element(data["mul"], "mul")
-        unit = per_element(data["unit"], "unit")
-        antipode = per_element(data["antipode"], "antipode")
-        counit = _parse_tensor(data["counit"], pi, dim, "counit", None, "counit")
-        delta = {}
-        for key, node in data["delta"].items():
-            a_label, b_label = key.split("|", 1)
-            pair = (element_index(pi, a_label), element_index(pi, b_label))
-            delta[pair] = _parse_tensor(node, pi, dim, "delta", pair, f"delta[{key}]")
+        maps = {}
+        for field in LAYOUT:
+            if field == "crossing" and field not in data:
+                continue
+            components = _components(data[field], pi, _NESTING[field], field)
+            maps[field] = {key: _parse_tensor(node, pi, dim, field, key, where)
+                           for key, node, where in components}
+        maps["counit"] = maps["counit"][None]  # one component, not a block
+        H = HopfPiCoalgebra(pi, dim, **maps)
+        check_shapes(H)
+    except StructureError as exc:
+        raise DataFormatError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"bad algebra object: {exc}") from exc
-    missing = {
-        (a, b)
-        for a in range(pi.order)
-        for b in range(pi.order)
-        if (a, b) not in delta
-    }
-    if missing:
-        raise DataFormatError(f"delta missing {len(missing)} component pairs")
-    crossing = None
-    if "crossing" in data:
-        crossing = {}
-        for b_label, block in data["crossing"].items():
-            b = element_index(pi, b_label)
-            crossing[b] = {}
-            for a_label, node in block.items():
-                a = element_index(pi, a_label)
-                where = f"crossing[{b_label}][{a_label}]"
-                crossing[b][a] = _parse_tensor(node, pi, dim, "crossing", (b, a), where)
-    H = HopfPiCoalgebra(pi, dim, mul, unit, delta, counit, antipode, crossing)
-    try:
-        check_shapes(H)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
     return H
 
 
@@ -261,26 +268,13 @@ def dump_algebra(H: HopfPiCoalgebra) -> dict:
     data = {
         "group": {"names": list(pi.names), "mul": [list(r) for r in pi.mul]},
         "dim": list(H.dim),
-        "mul": {pi.names[a]: _dump_tensor(H.mul[a]) for a in range(pi.order)},
-        "unit": {pi.names[a]: _dump_tensor(H.unit[a]) for a in range(pi.order)},
-        "delta": {
-            f"{pi.names[a]}|{pi.names[b]}": _dump_tensor(H.delta[(a, b)])
-            for a in range(pi.order)
-            for b in range(pi.order)
-        },
-        "counit": _dump_tensor(H.counit),
-        "antipode": {
-            pi.names[a]: _dump_tensor(H.antipode[a]) for a in range(pi.order)
-        },
     }
-    if H.crossing is not None:
-        data["crossing"] = {
-            pi.names[b]: {
-                pi.names[a]: _dump_tensor(H.crossing[b][a])
-                for a in range(pi.order)
-            }
-            for b in range(pi.order)
-        }
+    for field, key, t in structure_maps(H):
+        *path, last = (field, *_json_path(pi, field, key))
+        block = data
+        for name in path:
+            block = block.setdefault(name, {})
+        block[last] = _dump_tensor(t)
     return data
 
 

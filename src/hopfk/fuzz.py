@@ -19,15 +19,19 @@ from .heegaard import (
     lens_diagram,
     validate_diagram,
 )
-from .hopf import HopfPiCoalgebra
+from .hopf import LAYOUT, HopfPiCoalgebra, component_key, structure_legs, structure_maps
 from .scalars import ONE, ZERO
 from .tensors import GradedTensor
 
 
-def random_diagram(rng, genus_max=3, max_crossings=12, tries=200) -> Diagram:
+# Rejected samples ``random_diagram`` draws before it falls back to a lens.
+DIAGRAM_TRIES = 200
+
+
+def random_diagram(rng, genus_max=3, max_crossings=12) -> Diagram:
     """A random valid uncolored diagram, by rejection sampling plus a
     fallback to a small lens diagram when the sampler is unlucky."""
-    for _ in range(tries):
+    for _ in range(DIAGRAM_TRIES):
         g = rng.randint(1, genus_max)
         n = rng.randint(g, max_crossings)
         crossings = tuple(
@@ -142,40 +146,19 @@ def _bump(t: GradedTensor, key) -> GradedTensor:
 def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
     """Perturb one random structure constant by +1; returns (description,
     mutated algebra).  Used to confirm the validators actually bite."""
-    support = [a for a in range(H.pi.order) if H.dim[a] > 0]
-    kind = rng.choice(("mul", "unit", "delta", "counit", "antipode"))
-    if kind == "mul":
-        a = rng.choice(support)
-        d = H.dim[a]
-        path = tuple(rng.randrange(d) for _ in range(3))
-        mul = dict(H.mul)
-        mul[a] = _bump(H.mul[a], path)
-        return f"mul[{a}]{path} += 1", replace(H, mul=mul)
-    if kind == "unit":
-        a = rng.choice(support)
-        i = rng.randrange(H.dim[a])
-        unit = dict(H.unit)
-        unit[a] = _bump(H.unit[a], (i,))
-        return f"unit[{a}][{i}] += 1", replace(H, unit=unit)
-    if kind == "delta":
-        a, b = rng.choice(support), rng.choice(support)
-        ab = H.pi.mul[a][b]
-        if H.dim[ab] == 0:
-            return mutate_algebra(H, rng)
-        path = (
-            rng.randrange(H.dim[ab]),
-            rng.randrange(H.dim[a]),
-            rng.randrange(H.dim[b]),
-        )
-        dd = dict(H.delta)
-        dd[(a, b)] = _bump(H.delta[(a, b)], path)
-        return f"delta[({a},{b})]{path} += 1", replace(H, delta=dd)
-    if kind == "counit":
-        i = rng.randrange(H.dim_identity)
-        return f"counit[{i}] += 1", replace(H, counit=_bump(H.counit, (i,)))
-    a = rng.choice(support)
-    ai = H.pi.inverse[a]
-    path = (rng.randrange(H.dim[a]), rng.randrange(H.dim[ai]))
-    s = dict(H.antipode)
-    s[a] = _bump(H.antipode[a], path)
-    return f"antipode[{a}]{path} += 1", replace(H, antipode=s)
+    support = H.support()
+    field = rng.choice(("mul", "unit", "delta", "counit", "antipode"))
+    _, arity, _ = LAYOUT[field]
+    key = component_key([rng.choice(support) for _ in range(arity)])
+    legs = structure_legs(H.pi, H.dim, field, key)
+    if not all(leg.dim for leg in legs):
+        return mutate_algebra(H, rng)
+    path = tuple(rng.randrange(leg.dim) for leg in legs)
+    component = next(t for f, k, t in structure_maps(H) if (f, k) == (field, key))
+    bumped = _bump(component, path)
+    mutated = bumped if key is None else {**getattr(H, field), key: bumped}
+    # Seeded campaigns key their cases by this text: a pair key is written
+    # without spaces, a one-index path in brackets.
+    where = "" if key is None else f"[({key[0]},{key[1]})]" if isinstance(key, tuple) else f"[{key}]"
+    entry = f"[{path[0]}]" if len(path) == 1 else str(path)
+    return f"{field}{where}{entry} += 1", replace(H, **{field: mutated})

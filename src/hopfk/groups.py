@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+
+
+# Largest number of assignments ``word_solutions`` will enumerate.
+SEARCH_CAP = 100_000_000
 
 
 class GroupValidationError(ValueError):
     """The given table is not a group."""
+
+
+class SearchSpaceExceeded(RuntimeError):
+    """A brute-force search has more than ``SEARCH_CAP`` candidates."""
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,20 @@ def evaluate_word(word: Word, assignment, group: GroupTable) -> int:
             raise ValueError(f"letter exponent must be +-1, got {e}")
         result = group.mul[result][g]
     return result
+
+
+def word_solutions(words, candidates, group: GroupTable):
+    """Every assignment, one element of ``candidates[k]`` per generator k,
+    in lexicographic order, under which each word evaluates to the
+    identity.  Raises SearchSpaceExceeded before enumerating more than
+    ``SEARCH_CAP`` assignments."""
+    if math.prod(map(len, candidates)) > SEARCH_CAP:
+        raise SearchSpaceExceeded(
+            f"search space exceeds {SEARCH_CAP} tuples; refusing to enumerate"
+        )
+    for assignment in itertools.product(*candidates):
+        if all(evaluate_word(w, assignment, group) == group.identity for w in words):
+            yield assignment
 
 
 # -- homomorphisms ---------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .groups import GroupTable, Report, Word, evaluate_word
+from .groups import GroupTable, Report, Word, evaluate_word, word_solutions
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class Diagram:
 
     def uncolored(self) -> "Diagram":
         return replace(self, colors=None, pi=None)
+
+    def families(self) -> tuple:
+        """The traversal orders of the upper circles, then of the lower ones."""
+        return self.upper_orders, self.lower_orders
 
 
 # -- validation ---------------------------------------------------------------
@@ -225,12 +229,7 @@ def validate_diagram(D: Diagram) -> Report:
 def enumerate_colorings(D: Diagram, pi: GroupTable):
     """All color vectors satisfying the word condition, in lexicographic
     index order."""
-    words = extract_words(D)
-    out = []
-    for colors in itertools.product(range(pi.order), repeat=D.genus):
-        if all(evaluate_word(w, colors, pi) == pi.identity for w in words):
-            out.append(colors)
-    return out
+    return list(word_solutions(extract_words(D), [range(pi.order)] * D.genus, pi))
 
 
 # -- generators ----------------------------------------------------------------
@@ -257,11 +256,9 @@ def connected_sum(D1: Diagram, D2: Diagram) -> Diagram:
         Crossing(c.id + shift, c.upper + D1.genus, c.lower + D1.genus, c.sign)
         for c in D2.crossings
     )
-    upper = D1.upper_orders + tuple(
-        tuple(i + shift for i in order) for order in D2.upper_orders
-    )
-    lower = D1.lower_orders + tuple(
-        tuple(i + shift for i in order) for order in D2.lower_orders
+    upper, lower = (
+        first + tuple(tuple(i + shift for i in order) for order in second)
+        for first, second in zip(D1.families(), D2.families())
     )
     colors = D1.colors + D2.colors if D1.colored else None
     return Diagram(D1.genus + D2.genus, crossings, upper, lower, colors, D1.pi)
@@ -311,38 +308,37 @@ def _insert(seq, pos, items):
     return tuple(seq[:pos]) + tuple(items) + tuple(seq[pos:])
 
 
+def _rotate(order, r):
+    """The cyclic order started at position r (taken modulo its length)."""
+    r = r % len(order) if order else 0
+    return order[r:] + order[:r]
+
+
+def _permuted(seq, perm):
+    """``seq`` with item k moved to position ``perm[k]``."""
+    out = [None] * len(seq)
+    for k, item in enumerate(seq):
+        out[perm[k]] = item
+    return tuple(out)
+
+
 def _apply_relabel(D, m):
     g = D.genus
-    up = m.upper_perm or tuple(range(g))
-    lp = m.lower_perm or tuple(range(g))
-    if sorted(up) != list(range(g)) or sorted(lp) != list(range(g)):
+    perms = (m.upper_perm or tuple(range(g)), m.lower_perm or tuple(range(g)))
+    if any(sorted(perm) != list(range(g)) for perm in perms):
         raise MoveError("relabel permutations must permute the circles")
     # up[k] = new index of old upper circle k.
+    up, lp = perms
     crossings = tuple(
         Crossing(c.id, up[c.upper], lp[c.lower], c.sign) for c in D.crossings
     )
-    upper = [None] * g
-    lower = [None] * g
-    for k in range(g):
-        upper[up[k]] = D.upper_orders[k]
-        lower[lp[k]] = D.lower_orders[k]
-    if m.rotations is not None:
-        urot, lrot = m.rotations
-        upper = [
-            o[r % len(o):] + o[: r % len(o)] if o else o
-            for o, r in zip(upper, urot)
-        ]
-        lower = [
-            o[r % len(o):] + o[: r % len(o)] if o else o
-            for o, r in zip(lower, lrot)
-        ]
-    colors = None
-    if D.colored:
-        colors = [None] * g
-        for k in range(g):
-            colors[up[k]] = D.colors[k]
-        colors = tuple(colors)
-    return Diagram(g, crossings, tuple(upper), tuple(lower), colors, D.pi)
+    rotations = ((0,) * g,) * 2 if m.rotations is None else m.rotations
+    upper, lower = (
+        tuple(_rotate(o, r) for o, r in zip(_permuted(orders, perm), rots))
+        for orders, perm, rots in zip(D.families(), perms, rotations)
+    )
+    colors = _permuted(D.colors, up) if D.colored else None
+    return Diagram(g, crossings, upper, lower, colors, D.pi)
 
 
 def _apply_reverse(D, m):
@@ -382,13 +378,9 @@ def _apply_two_point_insert(D, m):
         Crossing(a, k, i, m.sign),
         Crossing(b, k, i, -m.sign),
     )
-    upper = tuple(
-        _insert(o, m.pos_upper, (first, second)) if c == k else o
-        for c, o in enumerate(D.upper_orders)
-    )
-    lower = tuple(
-        _insert(o, m.pos_lower, (first, second)) if c == i else o
-        for c, o in enumerate(D.lower_orders)
+    upper, lower = (
+        tuple(_insert(o, pos, (first, second)) if c == circle else o for c, o in enumerate(orders))
+        for orders, circle, pos in zip(D.families(), (k, i), (m.pos_upper, m.pos_lower))
     )
     return Diagram(D.genus, crossings, upper, lower, D.colors, D.pi)
 
@@ -429,11 +421,8 @@ def _apply_two_point_remove(D, m):
         raise MoveError(f"crossings {pair} are not a removable two-point pair")
     drop = set(pair)
     crossings = tuple(c for c in D.crossings if c.id not in drop)
-    upper = tuple(
-        tuple(i for i in o if i not in drop) for o in D.upper_orders
-    )
-    lower = tuple(
-        tuple(i for i in o if i not in drop) for o in D.lower_orders
+    upper, lower = (
+        tuple(tuple(i for i in o if i not in drop) for o in orders) for orders in D.families()
     )
     return Diagram(D.genus, crossings, upper, lower, D.colors, D.pi)
 
@@ -463,20 +452,16 @@ def _apply_destabilize(D, m):
     if D.colored and D.colors[k] != D.pi.identity:
         raise MoveError("handle upper circle is not colored by the identity")
     j = c.lower
-
-    def drop_upper(idx):
-        return idx - 1 if idx > k else idx
-
-    def drop_lower(idx):
-        return idx - 1 if idx > j else idx
-
+    # Circles after the dropped ones move down by one.
     crossings = tuple(
-        Crossing(x.id, drop_upper(x.upper), drop_lower(x.lower), x.sign)
+        Crossing(x.id, x.upper - (x.upper > k), x.lower - (x.lower > j), x.sign)
         for x in D.crossings
         if x.id != cid
     )
-    upper = tuple(o for t, o in enumerate(D.upper_orders) if t != k)
-    lower = tuple(o for t, o in enumerate(D.lower_orders) if t != j)
+    upper, lower = (
+        tuple(o for t, o in enumerate(orders) if t != drop)
+        for orders, drop in zip(D.families(), (k, j))
+    )
     colors = None
     if D.colored:
         colors = tuple(a for t, a in enumerate(D.colors) if t != k)
@@ -497,8 +482,7 @@ def _apply_slide(D, m):
     slid = moving_orders[j]
     if not slid:
         raise MoveError("cannot slide past a circle without crossings")
-    rot = m.band_other % len(slid)
-    copied = slid[rot:] + slid[:rot]
+    copied = _rotate(slid, m.band_other)
     twin_of = {cid: base + t for t, cid in enumerate(copied)}
     twins = []
     for cid in copied:

@@ -9,16 +9,9 @@ deliberately shares no code with the contraction engine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .groups import GroupHom, evaluate_word
-
-SEARCH_CAP = 100_000_000
-
-
-class SearchSpaceExceeded(RuntimeError):
-    """The fiber product is too large to enumerate."""
+from .groups import GroupHom, word_solutions
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,6 @@ class LiftCountQuery:
 
 def count_lifts(q: LiftCountQuery) -> int:
     """#{(g_1..g_n) with phi(g_k) = colors[k] and every relator = 1 in G}."""
-    G = q.phi.source
     for w in q.words:
         for k, _ in w.letters:
             if k >= len(q.colors):
@@ -43,17 +35,4 @@ def count_lifts(q: LiftCountQuery) -> int:
                     f"{len(q.colors)} colors were given"
                 )
     fibers = [q.phi.fiber(a) for a in q.colors]
-    space = 1
-    for f in fibers:
-        space *= len(f)
-        if space > SEARCH_CAP:
-            raise SearchSpaceExceeded(
-                f"fiber product exceeds {SEARCH_CAP} tuples; refusing to enumerate"
-            )
-    count = 0
-    for assignment in itertools.product(*fibers):
-        if all(
-            evaluate_word(w, assignment, G) == G.identity for w in q.words
-        ):
-            count += 1
-    return count
+    return sum(1 for _ in word_solutions(q.words, fibers, q.phi.source))

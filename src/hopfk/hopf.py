@@ -16,7 +16,7 @@ In-memory leg labels, in stored order, and what an entry means:
                                         e_i in H_{ab}, e_j in H_a, e_k in H_b
   counit             (in,)              counit on the identity component
   antipode[a]        (in, out)          S_a(e_i) = sum_j [i,j] e_j        in H_{a^-1}
-  crossing[b][a]     (in, out)          phi_b(e_i in H_a) = sum_j [i,j] e_j in H_{bab^-1}
+  crossing[(b,a)]    (in, out)          phi_b(e_i in H_a) = sum_j [i,j] e_j in H_{bab^-1}
 
 The key of an entry lists its indices in leg order, so ``t.entry(key)``
 is the coefficient the dense JSON format (docs/formats.md) writes at the
@@ -59,23 +59,49 @@ class HopfPiCoalgebra:
 
 # -- tensor layout of the structure maps ---------------------------------------
 
-# Per structure map: its leg labels, in stored order, and the leg
-# dimensions as a function of (pi, dim, key), where key is the component a
-# (mul, unit, antipode), the pair (a, b) (delta), the pair (b, a)
-# (crossing) or None (counit).
+# Per structure map, in the order of the ``HopfPiCoalgebra`` fields: its
+# leg labels, in stored order; how many group elements key a component;
+# and the leg dimensions as a function of (pi, dim, key), where key is the
+# component a (mul, unit, antipode), the pair (a, b) (delta), the pair
+# (b, a) (crossing) or None (counit).
 LAYOUT = {
-    "mul": (("in1", "in2", "out"), lambda pi, d, a: (d[a],) * 3),
-    "unit": (("out",), lambda pi, d, a: (d[a],)),
-    "delta": (("in", "out1", "out2"), lambda pi, d, k: (d[pi.mul[k[0]][k[1]]], d[k[0]], d[k[1]])),
-    "counit": (("in",), lambda pi, d, _: (d[pi.identity],)),
-    "antipode": (("in", "out"), lambda pi, d, a: (d[a], d[pi.inverse[a]])),
-    "crossing": (("in", "out"), lambda pi, d, k: (d[k[1]], d[pi.conjugate(*k)])),
+    "mul": (("in1", "in2", "out"), 1, lambda pi, d, a: (d[a],) * 3),
+    "unit": (("out",), 1, lambda pi, d, a: (d[a],)),
+    "delta": (("in", "out1", "out2"), 2, lambda pi, d, k: (d[pi.mul[k[0]][k[1]]], d[k[0]], d[k[1]])),
+    "counit": (("in",), 0, lambda pi, d, _: (d[pi.identity],)),
+    "antipode": (("in", "out"), 1, lambda pi, d, a: (d[a], d[pi.inverse[a]])),
+    "crossing": (("in", "out"), 2, lambda pi, d, k: (d[k[1]], d[pi.conjugate(*k)])),
 }
+
+
+def component_key(elements):
+    """The key of the component named by the group elements ``elements``:
+    None for none, the element for one, the tuple for a pair."""
+    return elements[0] if len(elements) == 1 else tuple(elements) or None
+
+
+def structure_maps(H: HopfPiCoalgebra):
+    """``(field, key, component)`` for every component of every structure
+    map, in ``LAYOUT`` order; the component is None where it is missing.
+    The crossing is listed only when it is given."""
+    elements = range(H.pi.order)
+    for field, (_, arity, _) in LAYOUT.items():
+        stored = getattr(H, field)
+        if stored is None:
+            continue
+        if not arity:
+            yield field, None, stored
+            continue
+        for key in itertools.product(elements, repeat=arity):
+            key = component_key(key)
+            yield field, key, stored.get(key)
 
 
 def structure_legs(pi: GroupTable, dim, field, key=None) -> tuple:
     """The legs ``LAYOUT`` gives the structure map ``field`` at ``key``."""
-    labels, dims = LAYOUT[field]
+    if len(dim) != pi.order:
+        raise StructureError("dim list length differs from group order")
+    labels, _, dims = LAYOUT[field]
     return tuple(map(Leg, labels, dims(pi, dim, key)))
 
 
@@ -85,25 +111,13 @@ def structure_tensor(pi: GroupTable, dim, field, key, data) -> GradedTensor:
 
 
 def check_shapes(H: HopfPiCoalgebra):
-    """Raise StructureError if a structure map (or, when there is a
-    crossing, a crossing component) is missing, has legs other than
+    """Raise StructureError if ``dim`` does not fit the group, or if a
+    component of ``structure_maps`` is missing, has legs other than
     ``structure_legs`` prescribes, or stores a key out of range."""
-    pi, order = H.pi, range(H.pi.order)
-    if len(H.dim) != pi.order:
-        raise StructureError("dim list length differs from group order")
-    maps = [("counit", None)] + [(f, a) for f in ("mul", "unit", "antipode") for a in order]
-    maps += [("delta", ab) for ab in itertools.product(order, repeat=2)]
-    stored = {f: getattr(H, f) for f, _ in maps}
-    if H.crossing is not None:
-        maps += [("crossing", ba) for ba in itertools.product(order, repeat=2)]
-        stored["crossing"] = {(b, a): t for b, row in H.crossing.items() for a, t in row.items()}
-    for field, key in maps:
-        t = stored[field]
-        if key is not None:
-            if key not in t:
-                raise StructureError(f"missing {field} component at {key}")
-            t = t[key]
-        legs = structure_legs(pi, H.dim, field, key)
+    for field, key, t in structure_maps(H):
+        legs = structure_legs(H.pi, H.dim, field, key)
+        if t is None:
+            raise StructureError(f"missing {field} component at {key}")
         if t.legs != legs or not all(
             len(k) == len(legs) and all(0 <= i < leg.dim for i, leg in zip(k, legs))
             for k in t.data
@@ -405,13 +419,6 @@ def check_structural_lemmas(
 # -- constructors -----------------------------------------------------------
 
 
-def _fibers(phi: GroupHom):
-    """Per element a of the target: the fiber of a (the basis of the
-    component at a), and the position of each fiber element in it."""
-    fibers = {a: phi.fiber(a) for a in range(phi.target.order)}
-    return fibers, {a: {g: i for i, g in enumerate(f)} for a, f in fibers.items()}
-
-
 def build_function_hopf(phi: GroupHom) -> HopfPiCoalgebra:
     """Functions on a finite group G, graded over pi by a homomorphism phi.
 
@@ -423,7 +430,9 @@ def build_function_hopf(phi: GroupHom) -> HopfPiCoalgebra:
     if not report.passed:
         raise ValueError("invalid group homomorphism: " + "; ".join(report.violations))
     G, pi = phi.source, phi.target
-    fibers, pos = _fibers(phi)
+    # The fiber of a is the basis of the component at a.
+    fibers = {a: phi.fiber(a) for a in range(pi.order)}
+    pos = {a: {g: i for i, g in enumerate(f)} for a, f in fibers.items()}
     dim = tuple(len(fibers[a]) for a in range(pi.order))
     tensor = functools.partial(structure_tensor, pi, dim)
     mul, unit, antipode, delta = {}, {}, {}, {}
@@ -446,34 +455,18 @@ def build_function_hopf(phi: GroupHom) -> HopfPiCoalgebra:
     return HopfPiCoalgebra(pi, dim, mul, unit, delta, counit, antipode, crossing)
 
 
-def conjugation_crossing(phi: GroupHom, section=None):
-    """Crossing data for the function algebra graded through phi, induced
-    by conjugation along a multiplicative section of phi.
-
-    ``section[b]`` must be a source element over b with section[b b'] =
-    section[b] section[b']; when phi is the identity the canonical choice
-    ``section[b] = b`` is used.
-    """
-    G, pi = phi.source, phi.target
-    if section is None:
-        if G is not pi and G != pi:
-            raise ValueError("no canonical section; provide one explicitly")
-        section = tuple(range(pi.order))
-    for b in range(pi.order):
-        if phi(section[b]) != b:
-            raise ValueError(f"section does not lie over element {pi.names[b]!r}")
-        for b2 in range(pi.order):
-            if section[pi.mul[b][b2]] != G.mul[section[b]][section[b2]]:
-                raise ValueError("section is not multiplicative")
-    fibers, pos = _fibers(phi)
-    dim = tuple(len(fibers[a]) for a in range(pi.order))
-
-    def phi_b(b, a):
-        image = pos[pi.conjugate(b, a)]
-        data = {(i, image[G.conjugate(section[b], g)]): ONE for i, g in enumerate(fibers[a])}
-        return structure_tensor(pi, dim, "crossing", (b, a), data)
-
-    return {b: {a: phi_b(b, a) for a in range(pi.order)} for b in range(pi.order)}
+def conjugation_crossing(phi: GroupHom):
+    """Crossing data for the function algebra graded by the identity phi
+    of a group: phi_b sends the one basis vector of H_a, the delta function
+    at a, to that of H_{bab^-1}."""
+    pi = phi.target
+    if phi.source != pi or phi.image != tuple(range(pi.order)):
+        raise ValueError("conjugation crossing needs phi to be the identity of one group")
+    dim = (1,) * pi.order
+    return {
+        ba: structure_tensor(pi, dim, "crossing", ba, {(0, 0): ONE})
+        for ba in itertools.product(range(pi.order), repeat=2)
+    }
 
 
 def identity_crossing_data(pi: GroupTable, dim):
@@ -481,9 +474,8 @@ def identity_crossing_data(pi: GroupTable, dim):
     if not pi.is_abelian():
         raise ValueError("identity crossing requires an abelian group")
     return {
-        b: {a: structure_tensor(pi, dim, "crossing", (b, a), {(i, i): ONE for i in range(dim[a])})
-            for a in range(pi.order)}
-        for b in range(pi.order)
+        (b, a): structure_tensor(pi, dim, "crossing", (b, a), {(i, i): ONE for i in range(dim[a])})
+        for b, a in itertools.product(range(pi.order), repeat=2)
     }
 
 
@@ -603,36 +595,36 @@ def validate_crossing(H: HopfPiCoalgebra) -> Report:
                 report.fail(f"crossing phi_{names[b]} cannot be iso on H_{names[a]}")
                 continue
             try:
-                phi[b][a].inverse()
+                phi[(b, a)].inverse()
             except ZeroDivisionError:
                 report.fail(f"phi_{names[b]} is singular on H_{names[a]}")
             check(lambda k: f"phi_{names[b]} does not preserve the unit of H_{names[a]}", "y",
-                  [_at(unit[a], "m"), _at(phi[b][a], "my")], [_at(unit[t], "y")])
+                  [_at(unit[a], "m"), _at(phi[(b, a)], "my")], [_at(unit[t], "y")])
             check(lambda k: f"phi_{names[b]} not multiplicative on H_{names[a]} "
                   f"at {_ix(k[:2])}", "xyo",
-                  [_at(mul[a], "xym"), _at(phi[b][a], "mo")],
-                  [_at(phi[b][a], "xp"), _at(phi[b][a], "yq"), _at(mul[t], "pqo")])
+                  [_at(mul[a], "xym"), _at(phi[(b, a)], "mo")],
+                  [_at(phi[(b, a)], "xp"), _at(phi[(b, a)], "yq"), _at(mul[t], "pqo")])
             # Antipode compatibility.
             check(lambda k: f"phi_{names[b]} does not commute with S on H_{names[a]} "
                   f"at {k[0]}", "xo",
-                  [_at(S[a], "xm"), _at(phi[b][pi.inverse[a]], "mo")],
-                  [_at(phi[b][a], "xm"), _at(S[t], "mo")])
+                  [_at(S[a], "xm"), _at(phi[(b, pi.inverse[a])], "mo")],
+                  [_at(phi[(b, a)], "xm"), _at(S[t], "mo")])
 
     # Counit and coproduct preservation.
     for b in range(n):
         check(lambda k: f"phi_{names[b]} does not preserve the counit at {k[0]}", "x",
-              [_at(phi[b][e], "xm"), _at(eps, "m")], [_at(eps, "x")])
+              [_at(phi[(b, e)], "xm"), _at(eps, "m")], [_at(eps, "x")])
         for a, g in itertools.product(range(n), repeat=2):
             ta, tg = pi.conjugate(b, a), pi.conjugate(b, g)
             check(lambda k: f"phi_{names[b]} does not preserve Delta on "
                   f"({names[a]},{names[g]}) at basis {k[0]}", "xpq",
-                  [_at(delta[(a, g)], "xjk"), _at(phi[b][a], "jp"), _at(phi[b][g], "kq")],
-                  [_at(phi[b][pi.mul[a][g]], "xm"), _at(delta[(ta, tg)], "mpq")])
+                  [_at(delta[(a, g)], "xjk"), _at(phi[(b, a)], "jp"), _at(phi[(b, g)], "kq")],
+                  [_at(phi[(b, pi.mul[a][g])], "xm"), _at(delta[(ta, tg)], "mpq")])
 
     # Multiplicativity in the crossing index.
     for b1, b2, a in itertools.product(range(n), repeat=3):
         check(lambda k: f"crossing not multiplicative: phi_{names[b1]} o "
               f"phi_{names[b2]} != phi on H_{names[a]} at basis {k[0]}", "xy",
-              [_at(phi[b2][a], "xm"), _at(phi[b1][pi.conjugate(b2, a)], "my")],
-              [_at(phi[pi.mul[b1][b2]][a], "xy")])
+              [_at(phi[(b2, a)], "xm"), _at(phi[(b1, pi.conjugate(b2, a))], "my")],
+              [_at(phi[(pi.mul[b1][b2], a)], "xy")])
     return report

@@ -157,8 +157,11 @@ class GradedTensor:
         for leg in legs:
             n *= leg.dim
         if n > limit:
+            open_legs = ", ".join(f"{leg.label!r} (dim {leg.dim})" for leg in legs)
+            summed = ", ".join(repr(self.legs[i].label) for i in my_pair)
             raise EntryCapExceeded(
-                f"contraction would allocate {n} entries (cap {limit})"
+                f"contraction would allocate {n} entries (cap {limit}); "
+                f"open legs {open_legs}; contracted over {summed or 'nothing'}"
             )
         out = GradedTensor(legs)
         # Hash-join on the shared index values.

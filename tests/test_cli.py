@@ -1,4 +1,6 @@
 import json
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,18 +18,24 @@ from hopfk.diagio import (
     parse_hom,
     result_record,
 )
+from hopfk.groups import GroupHom
 from hopfk.heegaard import connected_sum, lens_diagram
-from hopfk.hopf import validate_hopf
+from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, validate_hopf
 from hopfk.scalars import Scalar
 
 
 # -- serialization round trips -------------------------------------------------
 
 
-def test_algebra_roundtrip(kp, fs3):
-    for H in (kp, fs3):
-        data = json.loads(json.dumps(dump_algebra(H)))
-        back = parse_algebra(data)
+def test_algebra_roundtrip(kp, fs3, s3):
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    conj = replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))
+    opposite = dual_variants(kp, "opposite")
+    assert opposite.crossing is None and "crossing" not in dump_algebra(opposite)
+    for H in (kp, fs3, opposite, conj):
+        text = json.dumps(dump_algebra(H))
+        back = parse_algebra(json.loads(text))
+        assert json.dumps(dump_algebra(back)) == text
         assert back.dim == H.dim
         assert back.mul == H.mul
         assert back.delta == H.delta
@@ -35,6 +43,8 @@ def test_algebra_roundtrip(kp, fs3):
         assert back.antipode == H.antipode
         assert back.crossing == H.crossing
         assert validate_hopf(back).passed
+    # The crossing is nested b, then a, in JSON and keyed (b, a) in memory.
+    assert set(dump_algebra(conj)["crossing"]) == set(s3.names)
 
 
 def test_diagram_roundtrip(z2):
@@ -142,6 +152,29 @@ def test_cli_validate_algebra_partial_crossing(tmp_path, kp, capsys):
     assert "error: missing crossing component at (0, 1)" in capsys.readouterr().err
 
 
+def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
+    def broken(edit):
+        data = dump_algebra(kp)
+        edit(data)
+        return data
+
+    cases = [
+        (broken(lambda d: d["crossing"].update({"0": "identity"})),
+         "crossing[0] must be an object keyed by group elements"),
+        (broken(lambda d: d["delta"].update({"01": d["delta"].pop("0|1")})),
+         "delta key '01' is not 2 names joined by '|'"),
+        (broken(lambda d: d["crossing"]["0"].update({"q": d["crossing"]["0"].pop("1")})),
+         "unknown group element 'q'"),
+        (broken(lambda d: d["mul"].pop("1")), "missing mul component at 1"),
+        (broken(lambda d: d["dim"].pop()), "dim list length differs from group order"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-algebra", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_invariant(rp3_file, capsys):
     assert main(["invariant", "--algebra", "kp", "--diagram", rp3_file]) == 0
     assert "K = 2" in capsys.readouterr().out
@@ -156,6 +189,19 @@ def test_cli_colorings(rp3_file, capsys):
     assert main(["colorings", "--diagram", rp3_file, "--group", "z2"]) == 0
     out = capsys.readouterr().out
     assert "total: 2" in out
+
+
+def test_cli_colorings_search_is_bounded(tmp_path, capsys):
+    # 120^5 (about 2.5e10) color vectors over S5: refused before enumerating.
+    D = lens_diagram(1)
+    for _ in range(4):
+        D = connected_sum(D, lens_diagram(1))
+    path = tmp_path / "sum5.json"
+    path.write_text(json.dumps(dump_diagram(D)))
+    start = time.perf_counter()
+    assert main(["colorings", "--diagram", str(path), "--group", "s5"]) == 1
+    assert time.perf_counter() - start < 5
+    assert "resource error: search space exceeds 100000000 tuples" in capsys.readouterr().err
 
 
 def test_cli_lens_table(capsys):

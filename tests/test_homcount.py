@@ -3,9 +3,9 @@ import random
 import pytest
 
 from hopfk.fuzz import random_diagram
-from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
+from hopfk.groups import GroupHom, SearchSpaceExceeded, cyclic_group, symmetric_group, trivial_hom
 from hopfk.heegaard import connected_sum, enumerate_colorings, extract_words, lens_diagram
-from hopfk.homcount import LiftCountQuery, SearchSpaceExceeded, count_lifts
+from hopfk.homcount import LiftCountQuery, count_lifts
 from hopfk.hopf import build_function_hopf
 from hopfk.invariant import contract_invariant
 from hopfk.scalars import Scalar

@@ -248,9 +248,10 @@ def test_shape_check_catches_malformed(kp):
 
 
 def test_shape_check_catches_partial_crossing(kp):
-    partial = {b: dict(row) for b, row in kp.crossing.items()}
-    del partial[0][1]
-    for crossing, key in ((partial, r"\(0, 1\)"), ({1: kp.crossing[1]}, r"\(0, 0\)")):
+    partial = dict(kp.crossing)
+    del partial[0, 1]
+    row_1 = {ba: t for ba, t in kp.crossing.items() if ba[0] == 1}
+    for crossing, key in ((partial, r"\(0, 1\)"), (row_1, r"\(0, 0\)")):
         bad = replace(kp, crossing=crossing)
         with pytest.raises(StructureError, match="missing crossing component at " + key):
             check_shapes(bad)
@@ -258,7 +259,7 @@ def test_shape_check_catches_partial_crossing(kp):
             validate_crossing(bad)
     wide = GradedTensor((Leg("in", 4), Leg("out", 5)), {})
     with pytest.raises(StructureError, match="crossing shape mismatch"):
-        check_shapes(replace(kp, crossing={**kp.crossing, 1: {**kp.crossing[1], 0: wide}}))
+        check_shapes(replace(kp, crossing={**kp.crossing, (1, 0): wide}))
 
 
 # -- integral data -----------------------------------------------------------
@@ -450,13 +451,11 @@ def test_identity_crossing_requires_abelian(s3):
 
 
 def test_crossing_mutation_detected(kp):
-    cr = {
-        b: dict(kp.crossing[b]) for b in kp.crossing
-    }
-    m = cr[1][1]
+    cr = dict(kp.crossing)
+    m = cr[1, 1]
     flipped = dict(m.data)
     flipped[0, 1], flipped[0, 0] = m.entry((0, 0)), m.entry((0, 1))
-    cr[1][1] = GradedTensor(m.legs, flipped)
+    cr[1, 1] = GradedTensor(m.legs, flipped)
     bad = replace(kp, crossing=cr)
     assert not validate_crossing(bad).passed
 

@@ -76,8 +76,12 @@ def test_entry_cap(monkeypatch):
     big = matrix("a", "b", [[1] * 4] * 4)
     other = matrix("b", "c", [[1] * 4] * 4)
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
-    with pytest.raises(EntryCapExceeded):
+    with pytest.raises(EntryCapExceeded) as exc:
         big.contract(other)
+    assert str(exc.value) == (
+        "contraction would allocate 16 entries (cap 8); "
+        "open legs 'a' (dim 4), 'c' (dim 4); contracted over 'b'"
+    )
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "12345")
     assert entry_cap() == 12345
 
