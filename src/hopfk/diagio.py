@@ -229,11 +229,16 @@ def _components(node, pi, widths, where, elements=()):
         return
     if not isinstance(node, dict):
         raise DataFormatError(f"{where} must be an object keyed by group elements")
+    seen = {}
     for label, child in node.items():
         names = label.split("|") if widths[0] > 1 else [label]
         if len(names) != widths[0]:
             raise DataFormatError(f"{where} key {label!r} is not {widths[0]} names joined by '|'")
         resolved = tuple(element_index(pi, name) for name in names)
+        if resolved in seen:
+            raise DataFormatError(
+                f"{where} keys {seen[resolved]!r} and {label!r} name the same component")
+        seen[resolved] = label
         yield from _components(child, pi, widths[1:], f"{where}[{label}]", elements + resolved)
 
 

@@ -154,26 +154,8 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
     def inverse(self) -> "Word":
         return Word(tuple((k, -e) for k, e in reversed(self.letters)))
-
-    def rotate(self, offset: int) -> "Word":
-        if not self.letters:
-            return self
-        offset %= len(self.letters)
-        return Word(self.letters[offset:] + self.letters[:offset])
-
-    def free_reduce(self) -> "Word":
-        out = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        return Word(tuple(out))
 
     def __str__(self):
         if not self.letters:

@@ -333,6 +333,8 @@ def _apply_relabel(D, m):
         Crossing(c.id, up[c.upper], lp[c.lower], c.sign) for c in D.crossings
     )
     rotations = ((0,) * g,) * 2 if m.rotations is None else m.rotations
+    if len(rotations) != 2 or any(len(r) != g for r in rotations):
+        raise MoveError("relabel rotations must give one offset per circle in each family")
     upper, lower = (
         tuple(_rotate(o, r) for o, r in zip(_permuted(orders, perm), rots))
         for orders, perm, rots in zip(D.families(), perms, rotations)

@@ -21,15 +21,20 @@ In-memory leg labels, in stored order, and what an entry means:
 The key of an entry lists its indices in leg order, so ``t.entry(key)``
 is the coefficient the dense JSON format (docs/formats.md) writes at the
 same nested position; ``diagio`` converts between the two.
+
+``total`` adds the components up to the total algebra H_tot, an ordinary
+Hopf algebra; a crossing is an action of pi on H_tot by Hopf automorphisms
+phi_b sending H_a to H_{bab^-1}, and is checked as such.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .groups import GroupHom, GroupTable, Report, cyclic_group, validate_hom
+from .groups import GroupHom, GroupTable, Report, cyclic_group, trivial_group, validate_hom
 from .scalars import ONE, ZERO, I, Scalar
 from .tensors import GradedTensor, Leg, contract_network
 
@@ -61,16 +66,16 @@ class HopfPiCoalgebra:
 
 # Per structure map, in the order of the ``HopfPiCoalgebra`` fields: its
 # leg labels, in stored order; how many group elements key a component;
-# and the leg dimensions as a function of (pi, dim, key), where key is the
-# component a (mul, unit, antipode), the pair (a, b) (delta), the pair
-# (b, a) (crossing) or None (counit).
+# and the component each leg runs over, as a function of (pi, key), where
+# key is the component a (mul, unit, antipode), the pair (a, b) (delta),
+# the pair (b, a) (crossing) or None (counit).
 LAYOUT = {
-    "mul": (("in1", "in2", "out"), 1, lambda pi, d, a: (d[a],) * 3),
-    "unit": (("out",), 1, lambda pi, d, a: (d[a],)),
-    "delta": (("in", "out1", "out2"), 2, lambda pi, d, k: (d[pi.mul[k[0]][k[1]]], d[k[0]], d[k[1]])),
-    "counit": (("in",), 0, lambda pi, d, _: (d[pi.identity],)),
-    "antipode": (("in", "out"), 1, lambda pi, d, a: (d[a], d[pi.inverse[a]])),
-    "crossing": (("in", "out"), 2, lambda pi, d, k: (d[k[1]], d[pi.conjugate(*k)])),
+    "mul": (("in1", "in2", "out"), 1, lambda pi, a: (a, a, a)),
+    "unit": (("out",), 1, lambda pi, a: (a,)),
+    "delta": (("in", "out1", "out2"), 2, lambda pi, k: (pi.mul[k[0]][k[1]], *k)),
+    "counit": (("in",), 0, lambda pi, _: (pi.identity,)),
+    "antipode": (("in", "out"), 1, lambda pi, a: (a, pi.inverse[a])),
+    "crossing": (("in", "out"), 2, lambda pi, k: (k[1], pi.conjugate(*k))),
 }
 
 
@@ -101,8 +106,8 @@ def structure_legs(pi: GroupTable, dim, field, key=None) -> tuple:
     """The legs ``LAYOUT`` gives the structure map ``field`` at ``key``."""
     if len(dim) != pi.order:
         raise StructureError("dim list length differs from group order")
-    labels, _, dims = LAYOUT[field]
-    return tuple(map(Leg, labels, dims(pi, dim, key)))
+    labels, _, grades = LAYOUT[field]
+    return tuple(Leg(label, dim[a]) for label, a in zip(labels, grades(pi, key)))
 
 
 def structure_tensor(pi: GroupTable, dim, field, key, data) -> GradedTensor:
@@ -123,6 +128,41 @@ def check_shapes(H: HopfPiCoalgebra):
             for k in t.data
         ):
             raise StructureError(f"{field} shape mismatch at {key}")
+
+
+# -- the total algebra ---------------------------------------------------------
+
+
+def _direct_sum(offsets, labels, blocks) -> GradedTensor:
+    """The tensor on H_tot, with legs ``labels``, made of the ``blocks``
+    ``(components, t)``: leg i of t runs over H_{components[i]}."""
+    data = {}
+    for components, t in blocks:
+        shift = [offsets[a] for a in components]
+        data.update({tuple(i + s for i, s in zip(key, shift)): v for key, v in t.data.items()})
+    return GradedTensor([Leg(label, offsets[-1]) for label in labels], data)
+
+
+def total(H: HopfPiCoalgebra):
+    """H_tot, the sum of the H_a, over the trivial group, and the offsets:
+    H_a is spanned by basis vectors offsets[a] to offsets[a + 1] - 1.  The
+    product is block-diagonal, the unit and Delta are the sums of the
+    graded ones, eps is eps on H_1 and S is the sum of the S_a."""
+    check_shapes(H)
+    offsets = tuple(itertools.accumulate(H.dim, initial=0))
+    blocks = {}
+    for field, key, t in structure_maps(replace(H, crossing=None)):
+        blocks.setdefault(field, []).append((LAYOUT[field][2](H.pi, key), t))
+    tot = {field: _direct_sum(offsets, LAYOUT[field][0], b) for field, b in blocks.items()}
+    Htot = HopfPiCoalgebra(trivial_group(), (offsets[-1],), {0: tot["mul"]}, {0: tot["unit"]},
+                           {(0, 0): tot["delta"]}, tot["counit"], {0: tot["antipode"]})
+    return Htot, offsets
+
+
+def _basis(names, offsets, i) -> str:
+    """Basis vector i of H_tot, named by its component and its index there."""
+    a = bisect.bisect_right(offsets, i) - 1
+    return f"{i - offsets[a]} in H_{names[a]}"
 
 
 # -- network identities --------------------------------------------------------
@@ -338,26 +378,34 @@ def check_structural_lemmas(
     pi, names = H.pi, H.pi.names
     e = pi.identity
     de = H.dim[e]
-    mul, unit, delta, S, eps = H.mul, H.unit, H.delta, H.antipode, H.counit
+    unit, eps = H.unit, H.counit
     T = {a: GradedTensor.vector("in", integral.trace[a]) for a in range(pi.order)}
     C = GradedTensor.vector("out", integral.cotrace)
 
+    # The linear identities hold on H_tot (see ``total``), block by block,
+    # with T_tot the sum of the T_a and C in the block of H_1.
+    Ht, offsets = total(H)
+    at = functools.partial(_basis, names, offsets)
+    mul, delta, S = Ht.mul[0], Ht.delta[(0, 0)], Ht.antipode[0]
+    T_tot = _direct_sum(offsets, ("in",), [((a,), T[a]) for a in range(pi.order)])
+    C_tot = _direct_sum(offsets, ("out",), [((e,), C)])
+
     # T is a two-sided pi-integral: both sides of the defining equation.
-    for a, b in itertools.product(range(pi.order), repeat=2):
-        ab, dd = pi.mul[a][b], _at(delta[(a, b)], "xjk")
-        check(lambda k: f"(id x T) integral equation fails at ({names[a]},{names[b]}) "
-              f"basis {k[0]}", "xj",
-              [dd, _at(T[b], "k")], [_at(T[ab], "x"), _at(unit[a], "j")])
-        check(lambda k: f"(T x id) integral equation fails at ({names[a]},{names[b]}) "
-              f"basis {k[0]}", "xk",
-              [dd, _at(T[a], "j")], [_at(T[ab], "x"), _at(unit[b], "k")])
+    dd = _at(delta, "xjk")
+    check(lambda k: f"(id x T) integral equation fails at basis pair ({at(k[0])}, {at(k[1])})",
+          "xj", [dd, _at(T_tot, "k")], [_at(T_tot, "x"), _at(Ht.unit[0], "j")])
+    check(lambda k: f"(T x id) integral equation fails at basis pair ({at(k[0])}, {at(k[1])})",
+          "xk", [dd, _at(T_tot, "j")], [_at(T_tot, "x"), _at(Ht.unit[0], "k")])
 
     # C is a two-sided integral for the identity component.
-    eps_C = [_at(eps, "x"), _at(C, "y")]
-    check(lambda k: f"C is not a left integral at basis {k[0]}", "xy",
-          [_at(mul[e], "xcy"), _at(C, "c")], eps_C)
-    check(lambda k: f"C is not a right integral at basis {k[0]}", "xy",
-          [_at(C, "c"), _at(mul[e], "cxy")], eps_C)
+    eps_C = [_at(Ht.counit, "x"), _at(C_tot, "y")]
+    check(lambda k: f"C is not a left integral at basis {at(k[0])}", "xy",
+          [_at(mul, "xcy"), _at(C_tot, "c")], eps_C)
+    check(lambda k: f"C is not a right integral at basis {at(k[0])}", "xy",
+          [_at(C_tot, "c"), _at(mul, "cxy")], eps_C)
+    check(lambda k: "S(C) != C", "y", [_at(C_tot, "m"), _at(S, "my")], [_at(C_tot, "y")])
+    check(lambda k: f"T o S != T at basis {at(k[0])}", "x",
+          [_at(S, "xm"), _at(T_tot, "m")], [_at(T_tot, "x")])
 
     # Scalar identities.
     dim_scalar = Scalar(de)
@@ -367,10 +415,6 @@ def check_structural_lemmas(
         report.fail("eps(C) != dim of identity component")
     if _value(_at(T[e], "i"), _at(C, "i")) != dim_scalar:
         report.fail("T(C) != dim of identity component")
-    check(lambda k: "S(C) != C", "y", [_at(C, "m"), _at(S[e], "my")], [_at(C, "y")])
-    for a in range(pi.order):
-        check(lambda k: f"T o S != T in H_{names[a]} at basis {k[0]}", "x",
-              [_at(S[a], "xm"), _at(T[pi.inverse[a]], "m")], [_at(T[a], "x")])
 
     # dim H_a = dim H_1 on the support (characteristic-zero statement),
     # and the semisimplicity criterion T_a(1_a) = dim H_1 != 0.
@@ -383,8 +427,9 @@ def check_structural_lemmas(
         if _value(_at(T[a], "i"), _at(unit[a], "i")) != dim_scalar:
             report.fail(f"T(1) in H_{names[a]} differs from dim of H at identity")
 
-    # Cyclic symmetry of T o m^(n) for n up to the bound: the word
-    # T(x_0 x_1 ... x_{n-1}) must equal T(x_1 ... x_{n-1} x_0).
+    # The cyclic words stay per component: on H_tot their dense size is
+    # dim(H_tot)^arity.  Cyclic symmetry of T o m^(n) for n up to the
+    # bound: the word T(x_0 x_1 ... x_{n-1}) must equal T(x_1 ... x_0).
     for a in H.support():
         for arity in range(2, cyclic_bound + 1):
             chain, out = product_chain(H, a, range(arity), ("p",))
@@ -552,14 +597,13 @@ def build_kac_paljutkin() -> HopfPiCoalgebra:
 
 def dual_variants(H: HopfPiCoalgebra, kind: str) -> HopfPiCoalgebra:
     """The opposite (reversed products) or coopposite (regraded, flipped
-    coproducts) coalgebra; both need the inverse antipode, which exists in
-    finite type."""
+    coproducts) coalgebra.  Both need the inverse antipode; for an
+    involutory algebra it is stored already, as S_a^-1 = S_{a^-1}."""
     pi, inv, els = H.pi, H.pi.inverse, range(H.pi.order)
     if kind == "opposite":
         mul = {a: GradedTensor(t.legs, {(j, i, k): v for (i, j, k), v in t.data.items()})
                for a, t in H.mul.items()}
-        antipode = {a: H.antipode[inv[a]].inverse() for a in els}
-        return HopfPiCoalgebra(pi, H.dim, mul, dict(H.unit), dict(H.delta), H.counit, antipode)
+        return replace(H, mul=mul, crossing=None)
     if kind == "coopposite":
         dim = tuple(H.dim[inv[a]] for a in els)
         delta = {
@@ -568,63 +612,49 @@ def dual_variants(H: HopfPiCoalgebra, kind: str) -> HopfPiCoalgebra:
             })
             for a, b in itertools.product(els, repeat=2)
         }
-        mul, unit = ({a: block[inv[a]] for a in els} for block in (H.mul, H.unit))
-        antipode = {a: H.antipode[a].inverse() for a in els}
-        return HopfPiCoalgebra(pi, dim, mul, unit, delta, H.counit, antipode)
+        mul, unit, S = ({a: block[inv[a]] for a in els} for block in (H.mul, H.unit, H.antipode))
+        return HopfPiCoalgebra(pi, dim, mul, unit, delta, H.counit, S)
     raise ValueError(f"unknown dual kind {kind!r}")
 
 
 def validate_crossing(H: HopfPiCoalgebra) -> Report:
-    """Check the optional crossing: algebra isomorphisms conjugating the
-    grading, multiplicative in the crossing index, preserving Delta, eps,
-    and (hence, checked anyway) S."""
+    """Check the optional crossing as an action of pi on H_tot (see
+    ``total``): each phi_b preserves the unit, the product, S, eps and
+    Delta; phi_{b1} phi_{b2} = phi_{b1 b2}; and phi_1 = id.  Given the
+    second, the third holds exactly when every phi_b is invertible, with
+    inverse phi_{b^-1}."""
     report = Report()
     if H.crossing is None:
         report.warn("crossing data not provided")
         return report
-    check_shapes(H)
+    Ht, offsets = total(H)
     check = _checker(report)
     pi, names = H.pi, H.pi.names
-    n, e = pi.order, pi.identity
-    phi, mul, unit, delta, S, eps = H.crossing, H.mul, H.unit, H.delta, H.antipode, H.counit
+    at = functools.partial(_basis, names, offsets)
+    mul, unit, delta, S, eps = Ht.mul[0], Ht.unit[0], Ht.delta[(0, 0)], Ht.antipode[0], Ht.counit
+    els, grades = range(pi.order), LAYOUT["crossing"][2]
+    phi = [_direct_sum(offsets, ("in", "out"), [(grades(pi, (b, a)), H.crossing[b, a])
+                                                for a in els]) for b in els]
 
-    for b in range(n):
-        for a in range(n):
-            t = pi.conjugate(b, a)
-            if H.dim[a] != H.dim[t]:
-                report.fail(f"crossing phi_{names[b]} cannot be iso on H_{names[a]}")
-                continue
-            try:
-                phi[(b, a)].inverse()
-            except ZeroDivisionError:
-                report.fail(f"phi_{names[b]} is singular on H_{names[a]}")
-            check(lambda k: f"phi_{names[b]} does not preserve the unit of H_{names[a]}", "y",
-                  [_at(unit[a], "m"), _at(phi[(b, a)], "my")], [_at(unit[t], "y")])
-            check(lambda k: f"phi_{names[b]} not multiplicative on H_{names[a]} "
-                  f"at {_ix(k[:2])}", "xyo",
-                  [_at(mul[a], "xym"), _at(phi[(b, a)], "mo")],
-                  [_at(phi[(b, a)], "xp"), _at(phi[(b, a)], "yq"), _at(mul[t], "pqo")])
-            # Antipode compatibility.
-            check(lambda k: f"phi_{names[b]} does not commute with S on H_{names[a]} "
-                  f"at {k[0]}", "xo",
-                  [_at(S[a], "xm"), _at(phi[(b, pi.inverse[a])], "mo")],
-                  [_at(phi[(b, a)], "xm"), _at(S[t], "mo")])
+    for b, f in enumerate(phi):
+        check(lambda k: f"phi_{names[b]} does not preserve the unit at basis {at(k[0])}", "y",
+              [_at(unit, "m"), _at(f, "my")], [_at(unit, "y")])
+        check(lambda k: f"phi_{names[b]} is not multiplicative at basis pair "
+              f"({at(k[0])}, {at(k[1])})", "xyo",
+              [_at(mul, "xym"), _at(f, "mo")], [_at(f, "xp"), _at(f, "yq"), _at(mul, "pqo")])
+        check(lambda k: f"phi_{names[b]} does not commute with S at basis {at(k[0])}", "xo",
+              [_at(S, "xm"), _at(f, "mo")], [_at(f, "xm"), _at(S, "mo")])
+        check(lambda k: f"phi_{names[b]} does not preserve the counit at basis {at(k[0])}", "x",
+              [_at(f, "xm"), _at(eps, "m")], [_at(eps, "x")])
+        check(lambda k: f"phi_{names[b]} does not preserve Delta at basis {at(k[0])}", "xpq",
+              [_at(delta, "xjk"), _at(f, "jp"), _at(f, "kq")], [_at(f, "xm"), _at(delta, "mpq")])
 
-    # Counit and coproduct preservation.
-    for b in range(n):
-        check(lambda k: f"phi_{names[b]} does not preserve the counit at {k[0]}", "x",
-              [_at(phi[(b, e)], "xm"), _at(eps, "m")], [_at(eps, "x")])
-        for a, g in itertools.product(range(n), repeat=2):
-            ta, tg = pi.conjugate(b, a), pi.conjugate(b, g)
-            check(lambda k: f"phi_{names[b]} does not preserve Delta on "
-                  f"({names[a]},{names[g]}) at basis {k[0]}", "xpq",
-                  [_at(delta[(a, g)], "xjk"), _at(phi[(b, a)], "jp"), _at(phi[(b, g)], "kq")],
-                  [_at(phi[(b, pi.mul[a][g])], "xm"), _at(delta[(ta, tg)], "mpq")])
-
-    # Multiplicativity in the crossing index.
-    for b1, b2, a in itertools.product(range(n), repeat=3):
-        check(lambda k: f"crossing not multiplicative: phi_{names[b1]} o "
-              f"phi_{names[b2]} != phi on H_{names[a]} at basis {k[0]}", "xy",
-              [_at(phi[(b2, a)], "xm"), _at(phi[(b1, pi.conjugate(b2, a))], "my")],
-              [_at(phi[(pi.mul[b1][b2], a)], "xy")])
+    # Multiplicativity in the crossing index, and phi_1 = id.
+    for b1, b2 in itertools.product(els, repeat=2):
+        b = pi.mul[b1][b2]
+        check(lambda k: f"crossing not multiplicative: phi_{names[b1]} o phi_{names[b2]} "
+              f"!= phi_{names[b]} at basis {at(k[0])}", "xy",
+              [_at(phi[b2], "xm"), _at(phi[b1], "my")], [_at(phi[b], "xy")])
+    check(lambda k: f"phi_{names[pi.identity]} is not the identity at basis {at(k[0])}", "xy",
+          [_at(phi[pi.identity], "xy")], [GradedTensor.identity("x", "y", offsets[-1])])
     return report

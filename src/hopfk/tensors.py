@@ -104,32 +104,6 @@ class GradedTensor:
         out.data = {tuple(key[i] for i in order): v for key, v in self.data.items()}
         return out
 
-    def inverse(self) -> "GradedTensor":
-        """Exact inverse of a square two-leg tensor, read as a matrix with
-        rows on the first leg; raises ZeroDivisionError if it is singular."""
-        n = self.legs[0].dim
-        if self.legs[1].dim != n:
-            raise ValueError("matrix is not square")
-        # Gauss-Jordan on sparse rows, augmented by the identity in columns n..2n-1.
-        rows = [{n + i: ONE} for i in range(n)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if col in rows[r]), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            scale = ONE / rows[col][col]
-            rows[col] = {k: v * scale for k, v in rows[col].items()}
-            for r in range(n):
-                factor = rows[r].get(col)
-                if r != col and factor is not None:
-                    for k, v in rows[col].items():
-                        rows[r][k] = rows[r].get(k, ZERO) - factor * v
-                    rows[r] = {k: v for k, v in rows[r].items() if not v.is_zero()}
-        inverse = {(i, k - n): v for i, row in enumerate(rows) for k, v in row.items() if k >= n}
-        return GradedTensor(self.legs, inverse)
-
     # -- contraction ---------------------------------------------------------
 
     def contract(self, other: "GradedTensor") -> "GradedTensor":

@@ -167,6 +167,8 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
          "unknown group element 'q'"),
         (broken(lambda d: d["mul"].pop("1")), "missing mul component at 1"),
         (broken(lambda d: d["dim"].pop()), "dim list length differs from group order"),
+        (broken(lambda d: d["group"].update(names=["e", "a"]) or d["mul"].update(a=d["mul"]["1"])),
+         "mul keys '1' and 'a' name the same component"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

@@ -423,14 +423,6 @@ def test_dual_kind_rejected(kp):
         dual_variants(kp, "transpose")
 
 
-def test_matrix_inverse():
-    legs = (Leg("in", 2), Leg("out", 2))
-    m = GradedTensor(legs, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})
-    assert m.inverse().data == {(0, 0): ONE, (0, 1): -ONE, (1, 1): ONE}
-    with pytest.raises(ZeroDivisionError):
-        GradedTensor(legs, {(i, j): ONE for i in range(2) for j in range(2)}).inverse()
-
-
 # -- crossing -----------------------------------------------------------------------
 
 
@@ -458,6 +450,20 @@ def test_crossing_mutation_detected(kp):
     cr[1, 1] = GradedTensor(m.legs, flipped)
     bad = replace(kp, crossing=cr)
     assert not validate_crossing(bad).passed
+
+
+def test_crossing_singular_and_named(kp, s3):
+    # phi_1(x) = eps(x) 1 is an idempotent Hopf map of F(S3) over the trivial
+    # group, so every check but invertibility passes.
+    H = build_function_hopf(trivial_hom(s3))
+    collapse = {(0, j): ONE for j in range(6)}
+    singular = replace(H, crossing={(0, 0): GradedTensor(H.crossing[0, 0].legs, collapse)})
+    assert validate_hopf(H).passed and not validate_crossing(singular).passed
+    # A bumped entry of phi_1 on the matrix component of kp is named there.
+    m = kp.crossing[1, 1]
+    bumped = GradedTensor(m.legs, {**m.data, (0, 1): ONE})
+    violations = validate_crossing(replace(kp, crossing={**kp.crossing, (1, 1): bumped})).violations
+    assert violations[0] == "phi_1 does not preserve the unit at basis 1 in H_1"
 
 
 def test_conjugation_crossing_s3(s3):

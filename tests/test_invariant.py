@@ -7,6 +7,7 @@ from hopfk.fuzz import random_diagram, random_move_walk
 from hopfk.groups import (
     GroupHom,
     cyclic_group,
+    mod_hom,
     sign_hom_s3,
     symmetric_group,
     trivial_hom,
@@ -22,7 +23,13 @@ from hopfk.heegaard import (
     mirror_diagram,
 )
 from hopfk.homcount import LiftCountQuery, count_lifts
-from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants
+from hopfk.hopf import (
+    build_function_hopf,
+    conjugation_crossing,
+    dual_variants,
+    total,
+    validate_hopf,
+)
 from hopfk.invariant import contract_invariant
 from hopfk.scalars import Scalar
 from hopfk.tensors import EntryCapExceeded
@@ -163,6 +170,23 @@ def test_mirror_and_duals_agree(kp, z2):
         K = contract_invariant(kp, mirror_diagram(D))[1]
         assert contract_invariant(op, D)[1] == K
         assert contract_invariant(cop, D)[1] == K
+
+
+def test_total_algebra_sums_the_flat_bundles(kp, fs3):
+    # The pi = 1 case: K_H summed over the colorings of D is Kuperberg's
+    # invariant of the total algebra, D colored by the trivial group.
+    rng = random.Random(5)
+    diagrams = [lens_diagram(p) for p in range(1, 7)] + [mirror_diagram(lens_diagram(4))]
+    diagrams += [random_diagram(rng, genus_max=2, max_crossings=6) for _ in range(10)]
+    assert total(kp)[0].dim == (8,)
+    for H in (kp, fs3, build_function_hopf(mod_hom(4, 2))):
+        Ht, _ = total(H)
+        assert validate_hopf(Ht).passed
+        for D in diagrams:
+            colored = (contract_invariant(H, D.with_colors(H.pi, c))[1]
+                       for c in enumerate_colorings(D, H.pi))
+            trivial = D.with_colors(Ht.pi, (0,) * D.genus)
+            assert sum(colored, Scalar(0)) == contract_invariant(Ht, trivial)[1], D
 
 
 def test_vanishing_on_empty_support(z2):
