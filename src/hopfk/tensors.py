@@ -9,6 +9,7 @@ very sparse.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 
@@ -23,8 +24,18 @@ class EntryCapExceeded(RuntimeError):
 
 
 def entry_cap() -> int:
+    """The cap from ``HOPFK_ENTRY_CAP``: unset or empty means the default,
+    anything but a positive integer is a ``ValueError``."""
     value = os.environ.get(ENTRY_CAP_ENV)
-    return int(value) if value else DEFAULT_ENTRY_CAP
+    if not value:
+        return DEFAULT_ENTRY_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ENTRY_CAP_ENV} must be a positive integer, got {value!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,7 @@ class GradedTensor:
             summed = ", ".join(repr(self.legs[i].label) for i in my_pair)
             raise EntryCapExceeded(
                 f"contraction would allocate {n} entries (cap {limit}); "
-                f"open legs {open_legs}; contracted over {summed or 'nothing'}"
+                f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
             )
         out = GradedTensor(legs)
         # Hash-join on the shared index values.
@@ -178,37 +189,94 @@ def contract_network(nodes, rng=None) -> GradedTensor:
     """Contract a list of tensors into one, keeping the open legs.
 
     Repeatedly contracts a pair of tensors sharing a leg.  By default the
-    pair is chosen greedily (smallest resulting open-size, deterministic
-    tie-break on insertion order); pass ``rng`` to pick uniformly among the
-    connected pairs instead (used to test order independence).
-    Disconnected components are joined last, by outer product; a network
-    with no open legs yields a tensor whose ``as_scalar`` is its value.
+    pair is chosen greedily: smallest resulting open size, ties broken by
+    insertion order, where a merged tensor counts as inserted last.  Pass
+    ``rng`` to pick uniformly among the connected pairs instead (used to
+    test order independence).  Disconnected components are joined last,
+    in that order, by outer product; a network with no open legs yields a
+    tensor whose ``as_scalar`` is its value.
+
+    The greedy planner is incremental.  Every live tensor has an id, and a
+    merged tensor gets a fresh id larger than all before it, so id order
+    is insertion order.  An index maps each label to the ids of the live
+    tensors carrying it, and a heap holds ``(merged open size, id_a,
+    id_b)`` with ``id_a < id_b`` for every connected pair; its minimum is
+    the next contraction.  Entries naming a tensor already merged are
+    skipped when popped, and a new tensor pushes entries only for its
+    neighbours, found through the index.  A network of at most two
+    tensors needs no plan: it is ``nodes[0].contract(nodes[1])``.
     """
     pool = list(nodes)
-    while True:
-        candidates = []
-        for a in range(len(pool)):
-            labels_a = set(pool[a].labels)
-            for b in range(a + 1, len(pool)):
-                shared = labels_a & set(pool[b].labels)
-                if not shared:
-                    continue
-                size = 1
-                seen = shared
-                for leg in pool[a].legs + pool[b].legs:
-                    if leg.label not in seen:
-                        size *= leg.dim
-                candidates.append((size, a, b))
-        if not candidates:
-            break
-        if rng is None:
-            _, a, b = min(candidates)
-        else:
-            _, a, b = candidates[rng.randrange(len(candidates))]
-        merged = pool[a].contract(pool[b])
-        pool = [t for i, t in enumerate(pool) if i not in (a, b)]
-        pool.append(merged)
+    if rng is not None:
+        pool = _contract_random(pool, rng)
+    elif len(pool) > 2:
+        pool = _contract_greedy(pool)
     result = pool[0] if pool else GradedTensor.scalar(ONE)
     for t in pool[1:]:
         result = result.contract(t)
     return result
+
+
+def _merged_size(a: GradedTensor, b: GradedTensor) -> int:
+    """Dense size of the legs ``a.contract(b)`` leaves open."""
+    shared = set(a.labels) & set(b.labels)
+    size = 1
+    for leg in a.legs + b.legs:
+        if leg.label not in shared:
+            size *= leg.dim
+    return size
+
+
+def _contract_greedy(pool):
+    """Contract connected pairs in greedy order; return the tensors left,
+    one per component, in id order."""
+    live = dict(enumerate(pool))
+    index = {}
+    for i, t in live.items():
+        for label in t.labels:
+            index.setdefault(label, set()).add(i)
+
+    def neighbours(i, t):
+        return {j for label in t.labels for j in index[label] if j != i}
+
+    heap = [
+        (_merged_size(t, live[j]), i, j)
+        for i, t in live.items()
+        for j in neighbours(i, t)
+        if j > i
+    ]
+    heapq.heapify(heap)
+    next_id = len(pool)
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        ta, tb = live.pop(a), live.pop(b)
+        for i, t in ((a, ta), (b, tb)):
+            for label in t.labels:
+                index[label].discard(i)
+        merged = ta.contract(tb)
+        for label in merged.labels:
+            index.setdefault(label, set()).add(next_id)
+        for j in neighbours(next_id, merged):
+            heapq.heappush(heap, (_merged_size(live[j], merged), j, next_id))
+        live[next_id] = merged
+        next_id += 1
+    return list(live.values())
+
+
+def _contract_random(pool, rng):
+    """Contract uniformly chosen connected pairs until none is left."""
+    while True:
+        candidates = [
+            (a, b)
+            for a in range(len(pool))
+            for b in range(a + 1, len(pool))
+            if set(pool[a].labels) & set(pool[b].labels)
+        ]
+        if not candidates:
+            return pool
+        a, b = candidates[rng.randrange(len(candidates))]
+        merged = pool[a].contract(pool[b])
+        pool = [t for i, t in enumerate(pool) if i not in (a, b)]
+        pool.append(merged)

@@ -215,6 +215,14 @@ def test_cli_lens_table(capsys):
     assert by_key[(1, "0")] == "1"
 
 
+def test_cli_rejects_a_bad_entry_cap(monkeypatch, capsys):
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("HOPFK_ENTRY_CAP", bad)
+        assert main(["lens-table", "--algebra", "kp", "--max-n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: HOPFK_ENTRY_CAP must be a positive integer, got '{bad}'\n"
+
+
 def test_cli_oracle_compare(rp3_file, capsys):
     assert main(["oracle-compare", "--phi", "sign-s3", "--diagram", rp3_file]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -224,3 +224,25 @@ def test_entry_cap_enforced(kp, z2, monkeypatch):
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "3")
     with pytest.raises(EntryCapExceeded):
         contract_invariant(kp, D)
+
+
+def lens_k(p, color):
+    """Closed form of K_kp(L(p)) colored by color in Z/2."""
+    if p % 2:
+        return 1
+    if color == 0:
+        return 4
+    half = p // 2
+    if half % 2:
+        return 2
+    return 0 if half % 4 == 2 else 4
+
+
+def test_large_lens_closed_form(kp, z2):
+    # a few thousand chain nodes per network: the planner must not rescan
+    # every pair at every step
+    for p in range(509, 513):
+        D = lens_diagram(p)
+        for colors in enumerate_colorings(D, z2):
+            K = contract_invariant(kp, D.with_colors(z2, colors))[1]
+            assert K == Scalar(lens_k(p, colors[0])), (p, colors)

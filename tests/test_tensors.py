@@ -5,8 +5,13 @@ import random
 import pytest
 
 import hopfk
-from hopfk.scalars import Scalar, ZERO
+from hopfk import tensors
+from hopfk.fuzz import random_diagram
+from hopfk.heegaard import connected_sum, enumerate_colorings, lens_diagram, mirror_diagram
+from hopfk.invariant import diagram_nodes
+from hopfk.scalars import ONE, Scalar, ZERO
 from hopfk.tensors import (
+    DEFAULT_ENTRY_CAP,
     EntryCapExceeded,
     GradedTensor,
     Leg,
@@ -84,6 +89,32 @@ def test_entry_cap(monkeypatch):
     )
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "12345")
     assert entry_cap() == 12345
+    # a result with no open legs says so, like an outer product says
+    # "contracted over nothing"
+    monkeypatch.setattr(tensors, "entry_cap", lambda: 0)
+    with pytest.raises(EntryCapExceeded) as exc:
+        vec("x", [1, 2]).contract(vec("x", [3, 4]))
+    assert str(exc.value) == (
+        "contraction would allocate 1 entries (cap 0); "
+        "open legs none; contracted over 'x'"
+    )
+
+
+def test_entry_cap_must_be_positive(monkeypatch):
+    monkeypatch.delenv("HOPFK_ENTRY_CAP", raising=False)
+    assert entry_cap() == DEFAULT_ENTRY_CAP
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "")
+    assert entry_cap() == DEFAULT_ENTRY_CAP
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "1")
+    assert entry_cap() == 1
+    for bad in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv("HOPFK_ENTRY_CAP", bad)
+        message = f"HOPFK_ENTRY_CAP must be a positive integer, got '{bad}'"
+        with pytest.raises(ValueError) as exc:
+            entry_cap()
+        assert str(exc.value) == message
+        with pytest.raises(ValueError):
+            vec("x", [1]).contract(vec("x", [1]))
 
 
 def test_network_multiplies_components():
@@ -119,3 +150,82 @@ def test_contract_called_only_in_tensors():
         and node.func.attr == "contract"
     ]
     assert not callers
+
+
+# -- the greedy planner against the all-pairs scan it replaced ----------------------
+
+
+def scan_network(nodes):
+    """Reference planner: before each step, scan every pair of the pool for
+    the connected pair with the smallest (open size, position, position);
+    the merged tensor goes to the end of the pool."""
+    pool = list(nodes)
+    while True:
+        candidates = []
+        for a in range(len(pool)):
+            for b in range(a + 1, len(pool)):
+                shared = set(pool[a].labels) & set(pool[b].labels)
+                if not shared:
+                    continue
+                size = 1
+                for leg in pool[a].legs + pool[b].legs:
+                    if leg.label not in shared:
+                        size *= leg.dim
+                candidates.append((size, a, b))
+        if not candidates:
+            break
+        _, a, b = min(candidates)
+        merged = pool[a].contract(pool[b])
+        pool = [t for i, t in enumerate(pool) if i not in (a, b)]
+        pool.append(merged)
+    result = pool[0] if pool else GradedTensor.scalar(ONE)
+    for t in pool[1:]:
+        result = result.contract(t)
+    return result
+
+
+def contraction_log(planner, nodes, monkeypatch):
+    """The planner's result and the operand labels of every contract call."""
+    log = []
+    contract = GradedTensor.contract
+
+    def logged(self, other):
+        log.append((self.labels, other.labels))
+        return contract(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(GradedTensor, "contract", logged)
+        result = planner(list(nodes))
+    return result, log
+
+
+def assert_same_plan(nodes, monkeypatch):
+    want = contraction_log(scan_network, nodes, monkeypatch)
+    got = contraction_log(contract_network, nodes, monkeypatch)
+    assert got[1] == want[1]
+    assert got[0] == want[0]
+
+
+def test_planner_matches_the_pair_scan(kp, fs3, monkeypatch):
+    rng = random.Random(2024)
+    fuzzed = [random_diagram(rng, genus_max=3, max_crossings=10) for _ in range(30)]
+    assert {c.sign for D in fuzzed for c in D.crossings} == {1, -1}
+    lenses = [lens_diagram(p) for p in range(1, 41)]
+    lenses += [
+        mirror_diagram(connected_sum(lens_diagram(p), lens_diagram(q)))
+        for p, q in ((2, 3), (4, 6), (5, 8), (9, 2))
+    ]
+    for H, diagrams in ((kp, lenses + fuzzed), (fs3, fuzzed)):
+        for D in diagrams:
+            for colors in enumerate_colorings(D, H.pi):
+                assert_same_plan(diagram_nodes(H, D.with_colors(H.pi, colors)), monkeypatch)
+
+
+def test_planner_matches_the_pair_scan_on_components_and_ties(monkeypatch):
+    # two components, each a cycle of equal-size matrices, plus a lone
+    # vector: every connected pair ties on open size
+    ring = [matrix(i, (i + 1) % 4, [[1, 2], [3, 4]]) for i in range(4)]
+    path = [matrix(("p", i), ("p", i + 1), [[1, 1], [0, 1]]) for i in range(3)]
+    lone = vec("z", [5, 7])
+    for nodes in (ring, ring + path, path + [lone] + ring, [lone] + path):
+        assert_same_plan(nodes, monkeypatch)
