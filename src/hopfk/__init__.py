@@ -32,7 +32,6 @@ from .hopf import (
     build_kac_paljutkin,
     dual_variants,
     validate_crossing,
-    with_identity_crossing,
     conjugation_crossing,
 )
 from .heegaard import (

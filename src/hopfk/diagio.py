@@ -53,6 +53,20 @@ class UnknownNameError(DataFormatError):
     """A name is not one of the builtin groups, homomorphisms or algebras."""
 
 
+def _int(node, field) -> int:
+    """``node`` if it is a JSON integer; floats and booleans are refused."""
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    raise DataFormatError(f"{field} must be an integer, got {node!r}")
+
+
+def _ints(node, field) -> tuple:
+    """A JSON list of integers as a tuple."""
+    if not isinstance(node, list):
+        raise DataFormatError(f"{field} must be a list of integers, got {node!r}")
+    return tuple(_int(v, f"{field} entry") for v in node)
+
+
 def _parse_scalar(node, where) -> Scalar:
     if isinstance(node, str):
         try:
@@ -115,7 +129,20 @@ def parse_group(data) -> GroupTable:
         names, mul = data["names"], data["mul"]
     except KeyError as exc:
         raise DataFormatError(f"group object missing key {exc}") from exc
+    if not isinstance(names, list) or not isinstance(mul, list):
+        raise DataFormatError("group names and mul must be lists")
     _check_order("table", len(names))
+    # The algebra codec joins names with "|" and finds elements by name.
+    seen = set()
+    for name in names:
+        if not isinstance(name, str):
+            raise DataFormatError(f"group element name {name!r} is not a string")
+        if "|" in name:
+            raise DataFormatError(f"group element name {name!r} contains '|'")
+        if name in seen:
+            raise DataFormatError(f"group element name {name!r} appears twice")
+        seen.add(name)
+    mul = [_ints(row, "group mul row") for row in mul]
     try:
         return group_from_table(names, mul)
     except ValueError as exc:
@@ -139,7 +166,9 @@ def builtin_group(name: str) -> GroupTable:
 
 
 def element_index(pi: GroupTable, label) -> int:
-    if isinstance(label, int):
+    """The element a file names: by its name, else by its index (a JSON
+    integer, or a string of digits that no name matches)."""
+    if isinstance(label, int) and not isinstance(label, bool):
         if 0 <= label < pi.order:
             return label
         raise DataFormatError(f"group element index {label} out of range")
@@ -247,8 +276,8 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         return builtin_algebra(data)
     try:
         pi = parse_group(data["group"])
-        dim = tuple(int(v) for v in data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = _ints(data["dim"], "dim")
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"bad algebra object: {exc}") from exc
     try:
         maps = {}
@@ -288,14 +317,14 @@ def dump_algebra(H: HopfPiCoalgebra) -> dict:
 
 def parse_diagram(data, pi: GroupTable = None, ignore_colors=False) -> Diagram:
     try:
-        genus = int(data["genus"])
+        genus = _int(data["genus"], "genus")
         crossings = tuple(
-            Crossing(int(c["id"]), int(c["upper"]), int(c["lower"]), int(c["sign"]))
+            Crossing(*(_int(c[key], f"crossing {key}") for key in ("id", "upper", "lower", "sign")))
             for c in data["crossings"]
         )
-        upper = tuple(tuple(int(i) for i in o) for o in data["upper_orders"])
-        lower = tuple(tuple(int(i) for i in o) for o in data["lower_orders"])
-    except (KeyError, TypeError, ValueError) as exc:
+        upper = tuple(_ints(o, "upper_orders") for o in data["upper_orders"])
+        lower = tuple(_ints(o, "lower_orders") for o in data["lower_orders"])
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"bad diagram object: {exc}") from exc
     colors = None
     if not ignore_colors and data.get("colors") is not None:
@@ -344,29 +373,27 @@ def load_json(path):
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_algebra(source: str) -> HopfPiCoalgebra:
-    """A builtin algebra name, or a path to an algebra JSON file."""
+def _load(source: str, builtin, parse):
+    """``builtin(source)`` if it names a builtin, else ``parse`` of the
+    JSON file at path ``source``."""
     try:
-        return builtin_algebra(source)
+        return builtin(source)
     except UnknownNameError:
         pass
-    return parse_algebra(load_json(source))
+    return parse(load_json(source))
+
+
+def load_algebra(source: str) -> HopfPiCoalgebra:
+    """A builtin algebra name, or a path to an algebra JSON file."""
+    return _load(source, builtin_algebra, parse_algebra)
 
 
 def load_hom(source: str) -> GroupHom:
-    try:
-        return builtin_hom(source)
-    except UnknownNameError:
-        pass
-    return parse_hom(load_json(source))
+    return _load(source, builtin_hom, parse_hom)
 
 
 def load_group(source: str) -> GroupTable:
-    try:
-        return builtin_group(source)
-    except UnknownNameError:
-        pass
-    return parse_group(load_json(source))
+    return _load(source, builtin_group, parse_group)
 
 
 def load_diagram(path: str, pi: GroupTable = None, ignore_colors=False) -> Diagram:

@@ -45,9 +45,6 @@ class GroupTable:
         """b a b^-1."""
         return self.mul[self.mul[b][a]][self.inverse[b]]
 
-    def index(self, name) -> int:
-        return self.names.index(name)
-
     def is_abelian(self) -> bool:
         n = self.order
         return all(
@@ -153,9 +150,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((k, -e) for k, e in reversed(self.letters)))
 
     def __str__(self):
         if not self.letters:

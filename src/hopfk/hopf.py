@@ -409,15 +409,13 @@ def check_structural_lemmas(
 
     # Scalar identities.
     dim_scalar = Scalar(de)
-    if _value(_at(T[e], "i"), _at(unit[e], "i")) != dim_scalar:
-        report.fail("T(1) != dim of identity component")
     if _value(_at(eps, "i"), _at(C, "i")) != dim_scalar:
         report.fail("eps(C) != dim of identity component")
     if _value(_at(T[e], "i"), _at(C, "i")) != dim_scalar:
         report.fail("T(C) != dim of identity component")
 
     # dim H_a = dim H_1 on the support (characteristic-zero statement),
-    # and the semisimplicity criterion T_a(1_a) = dim H_1 != 0.
+    # and T_a(1_a) = dim H_1: at a = 1, the semisimplicity criterion.
     for a in H.support():
         if H.dim[a] != de:
             report.fail(
@@ -522,10 +520,6 @@ def identity_crossing_data(pi: GroupTable, dim):
         (b, a): structure_tensor(pi, dim, "crossing", (b, a), {(i, i): ONE for i in range(dim[a])})
         for b, a in itertools.product(range(pi.order), repeat=2)
     }
-
-
-def with_identity_crossing(H: HopfPiCoalgebra) -> HopfPiCoalgebra:
-    return replace(H, crossing=identity_crossing_data(H.pi, H.dim))
 
 
 def build_kac_paljutkin() -> HopfPiCoalgebra:

@@ -67,8 +67,9 @@ def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
     return nodes
 
 
-def contract_invariant(H: HopfPiCoalgebra, D: Diagram, rng=None):
-    """Return (Z, K) for a colored diagram; K = Z / (dim H_1)^genus."""
+def contract_invariant(H: HopfPiCoalgebra, D: Diagram):
+    """Return (Z, K) for a colored diagram; K = Z / (dim H_1)^genus.  Z is
+    the value of the closed network ``diagram_nodes(H, D)``, in any order."""
     if not D.colored:
         raise ValueError("diagram must be colored")
     if H.dim_identity == 0:
@@ -76,6 +77,6 @@ def contract_invariant(H: HopfPiCoalgebra, D: Diagram, rng=None):
     report = validate_diagram(D)
     if not report.passed:
         raise ValueError("invalid diagram: " + "; ".join(report.violations))
-    Z = contract_network(diagram_nodes(H, D), rng=rng).as_scalar()
+    Z = contract_network(diagram_nodes(H, D)).as_scalar()
     norm = Scalar(H.dim_identity ** D.genus)
     return Z, Z / norm

@@ -185,18 +185,18 @@ class GradedTensor:
         return f"GradedTensor(legs={self.labels}, nnz={len(self.data)})"
 
 
-def contract_network(nodes, rng=None) -> GradedTensor:
+def contract_network(nodes) -> GradedTensor:
     """Contract a list of tensors into one, keeping the open legs.
 
-    Repeatedly contracts a pair of tensors sharing a leg.  By default the
-    pair is chosen greedily: smallest resulting open size, ties broken by
-    insertion order, where a merged tensor counts as inserted last.  Pass
-    ``rng`` to pick uniformly among the connected pairs instead (used to
-    test order independence).  Disconnected components are joined last,
-    in that order, by outer product; a network with no open legs yields a
-    tensor whose ``as_scalar`` is its value.
+    Repeatedly contracts a pair of tensors sharing a leg, chosen greedily:
+    smallest resulting open size, ties broken by insertion order, where a
+    merged tensor counts as inserted last.  The value of a closed network
+    does not depend on the order, so the order is not the caller's to
+    choose.  Disconnected components are joined last, in that order, by
+    outer product; a network with no open legs yields a tensor whose
+    ``as_scalar`` is its value.
 
-    The greedy planner is incremental.  Every live tensor has an id, and a
+    The planner is incremental.  Every live tensor has an id, and a
     merged tensor gets a fresh id larger than all before it, so id order
     is insertion order.  An index maps each label to the ids of the live
     tensors carrying it, and a heap holds ``(merged open size, id_a,
@@ -207,9 +207,7 @@ def contract_network(nodes, rng=None) -> GradedTensor:
     tensors needs no plan: it is ``nodes[0].contract(nodes[1])``.
     """
     pool = list(nodes)
-    if rng is not None:
-        pool = _contract_random(pool, rng)
-    elif len(pool) > 2:
+    if len(pool) > 2:
         pool = _contract_greedy(pool)
     result = pool[0] if pool else GradedTensor.scalar(ONE)
     for t in pool[1:]:
@@ -264,19 +262,3 @@ def _contract_greedy(pool):
         next_id += 1
     return list(live.values())
 
-
-def _contract_random(pool, rng):
-    """Contract uniformly chosen connected pairs until none is left."""
-    while True:
-        candidates = [
-            (a, b)
-            for a in range(len(pool))
-            for b in range(a + 1, len(pool))
-            if set(pool[a].labels) & set(pool[b].labels)
-        ]
-        if not candidates:
-            return pool
-        a, b = candidates[rng.randrange(len(candidates))]
-        merged = pool[a].contract(pool[b])
-        pool = [t for i, t in enumerate(pool) if i not in (a, b)]
-        pool.append(merged)

@@ -9,6 +9,8 @@ from hopfk import (
     symmetric_group,
     trivial_hom,
 )
+from hopfk.scalars import ONE
+from hopfk.tensors import GradedTensor
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,64 @@ def oracle_homs():
         ("trivial-z3", trivial_hom(cyclic_group(3))),
         ("trivial-z5", trivial_hom(cyclic_group(5))),
     ]
+
+
+# -- a reference planner for contract_network ---------------------------------------
+
+
+def _scan_network(nodes, pick=min):
+    """Reference planner: before each step, list every connected pair of the
+    pool as (open size, position, position), in position order, and contract
+    the one ``pick`` returns; the merged tensor goes to the end of the pool.
+    Leftover components are joined in pool order.  ``pick=min`` is the
+    order ``contract_network`` must follow; ``pick=rng.choice`` is a
+    uniformly random order, whose value must be the same."""
+    pool = list(nodes)
+    while True:
+        candidates = []
+        for a in range(len(pool)):
+            for b in range(a + 1, len(pool)):
+                shared = set(pool[a].labels) & set(pool[b].labels)
+                if not shared:
+                    continue
+                size = 1
+                for leg in pool[a].legs + pool[b].legs:
+                    if leg.label not in shared:
+                        size *= leg.dim
+                candidates.append((size, a, b))
+        if not candidates:
+            break
+        _, a, b = pick(candidates)
+        merged = pool[a].contract(pool[b])
+        pool = [t for i, t in enumerate(pool) if i not in (a, b)]
+        pool.append(merged)
+    result = pool[0] if pool else GradedTensor.scalar(ONE)
+    for t in pool[1:]:
+        result = result.contract(t)
+    return result
+
+
+@pytest.fixture(scope="session")
+def scan_network():
+    return _scan_network
+
+
+@pytest.fixture()
+def contraction_log(monkeypatch):
+    """``log(planner, nodes)``: the planner's result and the operand labels
+    of every ``contract`` call it made."""
+
+    def log(planner, nodes):
+        calls = []
+        contract = GradedTensor.contract
+
+        def logged(self, other):
+            calls.append((self.labels, other.labels))
+            return contract(self, other)
+
+        with monkeypatch.context() as m:
+            m.setattr(GradedTensor, "contract", logged)
+            result = planner(list(nodes))
+        return result, calls
+
+    return log

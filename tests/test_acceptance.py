@@ -35,7 +35,7 @@ from hopfk.hopf import (
     validate_crossing,
     validate_hopf,
 )
-from hopfk.invariant import contract_invariant
+from hopfk.invariant import contract_invariant, diagram_nodes
 from hopfk.scalars import Scalar
 
 
@@ -205,10 +205,12 @@ def test_criterion_09_conjugate_colors(kp, z2):
     report(9, f"K unchanged under {checked} color conjugations", ok and checked > 0)
 
 
-def test_criterion_10_determinism(kp, z2, tmp_path):
+def test_criterion_10_determinism(kp, z2, tmp_path, scan_network):
     D = connected_sum(lens_diagram(2), lens_diagram(4)).with_colors(z2, (1, 1))
-    runs = {contract_invariant(kp, D, rng=random.Random(s)) for s in range(4)}
-    runs.add(contract_invariant(kp, D))
+    # Z in four uniformly random contraction orders, and in the planner's
+    nodes = diagram_nodes(kp, D)
+    runs = {scan_network(nodes, pick=random.Random(s).choice).as_scalar() for s in range(4)}
+    runs.add(contract_invariant(kp, D)[0])
     path = tmp_path / "d.json"
     path.write_text(json.dumps(dump_diagram(D)))
     outputs = set()

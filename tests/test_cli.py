@@ -108,6 +108,27 @@ def test_malformed_diagram_rejected(z2):
     data = dump_diagram(D)
     with pytest.raises(DataFormatError):
         parse_diagram(data)  # colors present but no group given
+    # integer fields take JSON integers only: no floats, no booleans
+    cases = [
+        (lambda d: d.update(genus=1.9), "genus must be an integer, got 1.9"),
+        (lambda d: d.update(genus=True), "genus must be an integer, got True"),
+        (lambda d: d["crossings"][0].update(sign=1.5), "crossing sign must be an integer, got 1.5"),
+        (lambda d: d["crossings"][0].update(id=0.0), "crossing id must be an integer, got 0.0"),
+        (lambda d: d["crossings"][1].update(upper=False),
+         "crossing upper must be an integer, got False"),
+        (lambda d: d["crossings"][1].update(lower="0"),
+         "crossing lower must be an integer, got '0'"),
+        (lambda d: d["upper_orders"][0].__setitem__(1, 1.0),
+         "upper_orders entry must be an integer, got 1.0"),
+        (lambda d: d.update(lower_orders=[5]), "lower_orders must be a list of integers, got 5"),
+        (lambda d: d.update(colors=[True]), "unknown group element True"),
+    ]
+    for edit, message in cases:
+        broken = json.loads(json.dumps(data))
+        edit(broken)
+        with pytest.raises(DataFormatError) as exc:
+            parse_diagram(broken, z2)
+        assert str(exc.value) == message
 
 
 def test_result_record(kp, z2):
@@ -169,11 +190,42 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
         (broken(lambda d: d["dim"].pop()), "dim list length differs from group order"),
         (broken(lambda d: d["group"].update(names=["e", "a"]) or d["mul"].update(a=d["mul"]["1"])),
          "mul keys '1' and 'a' name the same component"),
+        (broken(lambda d: d.update(dim=[4.7, 4])), "dim entry must be an integer, got 4.7"),
+        (broken(lambda d: d.update(dim=[4, True])), "dim entry must be an integer, got True"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(data))
         assert main(["validate-algebra", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_group_tables_refused_at_load(tmp_path, kp, rp3_file, capsys):
+    # names the algebra codec cannot write back, and table entries that are
+    # not JSON integers, are refused at load, for a group file and for the
+    # group of an algebra file
+    z2 = [[0, 1], [1, 0]]
+    cases = [
+        (["e", "e"], z2, "group element name 'e' appears twice"),
+        (["e", "a|b"], z2, "group element name 'a|b' contains '|'"),
+        ([0, 1], z2, "group element name 0 is not a string"),
+        (["e", None], z2, "group element name None is not a string"),
+        (["e", "a"], [[0, 1], [1, 0.0]], "group mul row entry must be an integer, got 0.0"),
+        (["e", "a"], [[0, 1], [True, 0]], "group mul row entry must be an integer, got True"),
+    ]
+    for i, (names, mul, message) in enumerate(cases):
+        with pytest.raises(DataFormatError) as exc:
+            parse_group({"names": names, "mul": mul})
+        assert str(exc.value) == message
+        group = tmp_path / f"group{i}.json"
+        group.write_text(json.dumps({"names": names, "mul": mul}))
+        assert main(["colorings", "--diagram", rp3_file, "--group", str(group)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        data = dump_algebra(kp)
+        data["group"] = {"names": names, "mul": mul}
+        algebra = tmp_path / f"algebra{i}.json"
+        algebra.write_text(json.dumps(data))
+        assert main(["validate-algebra", str(algebra)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
 

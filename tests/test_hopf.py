@@ -21,7 +21,6 @@ from hopfk.hopf import (
     product_chain,
     validate_crossing,
     validate_hopf,
-    with_identity_crossing,
 )
 from hopfk.scalars import I, ONE, Scalar, ZERO
 from hopfk.tensors import EntryCapExceeded, GradedTensor, Leg, contract_network
@@ -286,6 +285,19 @@ def test_structural_lemmas_all_constructors():
         assert report.passed, report.violations[:3]
 
 
+def test_bumped_identity_trace_is_one_violation(kp, fs3):
+    # T(1) on H_1 is checked once, by the loop over the support
+    for H in (kp, fs3):
+        integral = derive_integral_data(H)
+        e = H.pi.identity
+        T = integral.trace[e]
+        bumped = replace(integral, trace={**integral.trace, e: (T[0] + ONE,) + T[1:]})
+        violations = check_structural_lemmas(H, bumped, cyclic_bound=2).violations
+        assert [v for v in violations if v.startswith("T(1)")] == [
+            f"T(1) in H_{H.pi.names[e]} differs from dim of H at identity"
+        ]
+
+
 def test_trace_symmetry_randomized(kp):
     rng = random.Random(1)
     integral = derive_integral_data(kp)
@@ -477,4 +489,5 @@ def test_conjugation_crossing_s3(s3):
 
 
 def test_with_identity_crossing(fs3):
-    assert validate_crossing(with_identity_crossing(fs3)).passed
+    # build_function_hopf attaches the identity crossing when pi is abelian
+    assert validate_crossing(fs3).passed
