@@ -205,7 +205,10 @@ def parse_hom(data) -> GroupHom:
     try:
         source = parse_group(data["source"])
         target = parse_group(data["target"])
-        image = tuple(element_index(target, v) for v in data["image"])
+        image = data["image"]
+        if not isinstance(image, list):
+            raise DataFormatError(f"image must be a list of group elements, got {image!r}")
+        image = tuple(element_index(target, v) for v in image)
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"bad homomorphism object: {exc}") from exc
     hom = GroupHom(source, target, image)
@@ -279,6 +282,8 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         dim = _ints(data["dim"], "dim")
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"bad algebra object: {exc}") from exc
+    if min(dim, default=0) < 0:
+        raise DataFormatError(f"dim entry must be non-negative, got {min(dim)}")
     try:
         maps = {}
         for field in LAYOUT:

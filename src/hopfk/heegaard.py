@@ -10,7 +10,6 @@ combinatorial data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .groups import GroupTable, Report, Word, evaluate_word, word_solutions
@@ -387,31 +386,24 @@ def _apply_two_point_insert(D, m):
     return Diagram(D.genus, crossings, upper, lower, D.colors, D.pi)
 
 
-def _adjacent_in(order, a, b):
-    """True if b directly follows a in the cyclic order."""
-    n = len(order)
-    return any(
-        order[t] == a and order[(t + 1) % n] == b for t in range(n)
-    )
-
-
 def cancelling_pairs(D: Diagram):
     """All crossing-id pairs removable by the two-point move: same circles,
     opposite signs, the positive one directly followed by the negative one
-    in both traversal orders."""
+    in both traversal orders.  Listed in ``D.crossings`` order of the
+    positive crossing."""
+    upper_next, lower_next = (
+        {x: order[(t + 1) % len(order)] for order in orders for t, x in enumerate(order)}
+        for orders in D.families()
+    )
     cmap = D.crossing_map()
-    out = []
-    for a, b in itertools.permutations(cmap.values(), 2):
-        if (
-            a.upper == b.upper
-            and a.lower == b.lower
-            and a.sign == 1
-            and b.sign == -1
-            and _adjacent_in(D.upper_orders[a.upper], a.id, b.id)
-            and _adjacent_in(D.lower_orders[a.lower], a.id, b.id)
-        ):
-            out.append((a.id, b.id))
-    return out
+    return [
+        (a.id, b)
+        for a in D.crossings
+        if a.sign == 1
+        and (b := upper_next.get(a.id)) in cmap
+        and cmap[b].sign == -1
+        and lower_next.get(a.id) == b
+    ]
 
 
 def _apply_two_point_remove(D, m):

@@ -20,7 +20,7 @@ ENTRY_CAP_ENV = "HOPFK_ENTRY_CAP"
 
 
 class EntryCapExceeded(RuntimeError):
-    """An intermediate tensor would exceed the configured entry cap."""
+    """A contraction would compute more products than the entry cap."""
 
 
 def entry_cap() -> int:
@@ -121,8 +121,11 @@ class GradedTensor:
         """Contract all legs whose labels appear in both tensors.
 
         Matching legs must agree in dimension; the result keeps the
-        remaining legs of ``self`` followed by those of ``other``.  Raises
-        ``EntryCapExceeded`` if its dense size exceeds ``entry_cap()``.
+        remaining legs of ``self`` followed by those of ``other``.  The
+        hash join computes one product per pair of stored entries that
+        agree on the shared legs, and raises ``EntryCapExceeded`` as soon
+        as their count passes ``entry_cap()``; so the cap bounds both the
+        time of a contraction and the entries of its result.
         """
         shared = set(self.labels) & set(other.labels)
         my_keep = [i for i, leg in enumerate(self.legs) if leg.label not in shared]
@@ -138,16 +141,6 @@ class GradedTensor:
                 )
         legs = tuple(self.legs[i] for i in my_keep) + tuple(other.legs[j] for j in ot_keep)
         limit = entry_cap()
-        n = 1
-        for leg in legs:
-            n *= leg.dim
-        if n > limit:
-            open_legs = ", ".join(f"{leg.label!r} (dim {leg.dim})" for leg in legs)
-            summed = ", ".join(repr(self.legs[i].label) for i in my_pair)
-            raise EntryCapExceeded(
-                f"contraction would allocate {n} entries (cap {limit}); "
-                f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
-            )
         out = GradedTensor(legs)
         # Hash-join on the shared index values.
         buckets = {}
@@ -157,11 +150,20 @@ class GradedTensor:
                 (tuple(key[j] for j in ot_keep), value)
             )
         acc = out.data
+        products = 0
         for key, value in self.data.items():
             pk = tuple(key[i] for i in my_pair)
             hits = buckets.get(pk)
             if not hits:
                 continue
+            products += len(hits)
+            if products > limit:
+                open_legs = ", ".join(f"{leg.label!r} (dim {leg.dim})" for leg in legs)
+                summed = ", ".join(repr(self.legs[i].label) for i in my_pair)
+                raise EntryCapExceeded(
+                    f"contraction would compute at least {products} products (cap {limit}); "
+                    f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
+                )
             base = tuple(key[i] for i in my_keep)
             for rest, other_value in hits:
                 new_key = base + rest

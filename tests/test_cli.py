@@ -192,6 +192,7 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
          "mul keys '1' and 'a' name the same component"),
         (broken(lambda d: d.update(dim=[4.7, 4])), "dim entry must be an integer, got 4.7"),
         (broken(lambda d: d.update(dim=[4, True])), "dim entry must be an integer, got True"),
+        (broken(lambda d: d.update(dim=[-1, 4])), "dim entry must be non-negative, got -1"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -278,6 +279,20 @@ def test_cli_rejects_a_bad_entry_cap(monkeypatch, capsys):
 def test_cli_oracle_compare(rp3_file, capsys):
     assert main(["oracle-compare", "--phi", "sign-s3", "--diagram", rp3_file]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_hom_image_must_be_a_list(tmp_path, rp3_file, capsys):
+    # a string is not read as a sequence of one-character element names
+    for image in ("0101", {"0": 0}):
+        data = {"source": "z4", "target": "z2", "image": image}
+        message = f"image must be a list of group elements, got {image!r}"
+        with pytest.raises(DataFormatError) as exc:
+            parse_hom(data)
+        assert str(exc.value) == message
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(data))
+        assert main(["oracle-compare", "--phi", str(path), "--diagram", rp3_file]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_move_fuzz(rp3_file, capsys):

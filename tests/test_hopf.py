@@ -298,6 +298,23 @@ def test_bumped_identity_trace_is_one_violation(kp, fs3):
         ]
 
 
+def test_cyclic_lemmas_detect_a_bumped_trace_and_cotrace(kp):
+    # kp's T_1 and C are both bumped at basis 1 (e12 in the matrix
+    # component, the second idempotent in the other); each breaks its
+    # cyclic word on H_tot, and names it by its components
+    integral = derive_integral_data(kp)
+    T1, C = integral.trace[1], integral.cotrace
+    bumped_trace = replace(integral, trace={**integral.trace, 1: (T1[0], T1[1] + ONE) + T1[2:]})
+    bumped_cotrace = replace(integral, cotrace=(C[0], C[1] + ONE) + C[2:])
+    violations = check_structural_lemmas(kp, bumped_trace, cyclic_bound=2).violations
+    assert "trace product not cyclically symmetric in H_1 at (0, 1) (arity 2)" in violations
+    assert not any(v.startswith("iterated coproduct of C") for v in violations)
+    violations = check_structural_lemmas(kp, bumped_cotrace, cyclic_bound=3).violations
+    for grading in ("('1', '1')", "('1', '0', '1')"):
+        assert f"iterated coproduct of C not cyclically symmetric for grading {grading}" in violations
+    assert not any(v.startswith("trace product") for v in violations)
+
+
 def test_trace_symmetry_randomized(kp):
     rng = random.Random(1)
     integral = derive_integral_data(kp)

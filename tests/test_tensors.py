@@ -7,6 +7,7 @@ import pytest
 
 import hopfk
 from hopfk import tensors
+from hopfk.cli import main
 from hopfk.fuzz import random_diagram
 from hopfk.heegaard import connected_sum, enumerate_colorings, lens_diagram, mirror_diagram
 from hopfk.invariant import diagram_nodes
@@ -84,8 +85,9 @@ def test_entry_cap(monkeypatch):
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
     with pytest.raises(EntryCapExceeded) as exc:
         big.contract(other)
+    # the join stops at the third row of ``big``: 3 rows x 4 hits > 8
     assert str(exc.value) == (
-        "contraction would allocate 16 entries (cap 8); "
+        "contraction would compute at least 12 products (cap 8); "
         "open legs 'a' (dim 4), 'c' (dim 4); contracted over 'b'"
     )
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "12345")
@@ -96,9 +98,29 @@ def test_entry_cap(monkeypatch):
     with pytest.raises(EntryCapExceeded) as exc:
         vec("x", [1, 2]).contract(vec("x", [3, 4]))
     assert str(exc.value) == (
-        "contraction would allocate 1 entries (cap 0); "
+        "contraction would compute at least 1 products (cap 0); "
         "open legs none; contracted over 'x'"
     )
+
+
+def test_entry_cap_counts_join_products(monkeypatch):
+    # The cap bounds the products the hash join computes, not the dense
+    # size of the result: two diagonal 4x4 matrices make 4 products into a
+    # dense size of 16, two all-ones ones make 64.
+    diagonal = [[int(i == j) for j in range(4)] for i in range(4)]
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
+    product = matrix("a", "b", diagonal).contract(matrix("b", "c", diagonal))
+    assert product == matrix("a", "c", diagonal)
+    ones = [[1] * 4] * 4
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "32")
+    with pytest.raises(EntryCapExceeded, match="cap 32"):
+        matrix("a", "b", ones).contract(matrix("b", "c", ones))
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "64")
+    assert matrix("a", "b", ones).contract(matrix("b", "c", ones)) == matrix("a", "c", [[4] * 4] * 4)
+    # F(S3) graded by the trivial group: the largest join of its validation
+    # is 216 products, its largest dense size 6^4 = 1,296
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "500")
+    assert main(["validate-algebra", "fun-trivial-s3"]) == 0
 
 
 def test_entry_cap_must_be_positive(monkeypatch):
