@@ -154,11 +154,15 @@ def builtin_group(name: str) -> GroupTable:
     for prefix in ("z", "cyclic-"):
         if key.startswith(prefix) and key[len(prefix):].isdigit():
             n = int(key[len(prefix):])
+            if n < 1:
+                raise DataFormatError(f"group {name!r} needs order >= 1")
             _check_order(name, n)
             return cyclic_group(n)
     for prefix in ("s", "symmetric-"):
         if key.startswith(prefix) and key[len(prefix):].isdigit():
             n = int(key[len(prefix):])
+            if n < 1:
+                raise DataFormatError(f"group {name!r} needs degree >= 1")
             # Any n above the limit fails anyway (n! >= n), so cap n before the factorial.
             _check_order(name, math.factorial(min(n, MAX_GROUP_ORDER)))
             return symmetric_group(n)
@@ -337,7 +341,10 @@ def parse_diagram(data, pi: GroupTable = None, ignore_colors=False) -> Diagram:
             raise DataFormatError(
                 "diagram has colors but no group was provided to resolve them"
             )
-        colors = tuple(element_index(pi, v) for v in data["colors"])
+        colors = data["colors"]
+        if not isinstance(colors, list):
+            raise DataFormatError(f"colors must be a list of group elements, got {colors!r}")
+        colors = tuple(element_index(pi, v) for v in colors)
     return Diagram(genus, crossings, upper, lower, colors, pi if colors else None)
 
 

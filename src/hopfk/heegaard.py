@@ -4,8 +4,10 @@ A diagram is stored purely combinatorially: crossing incidences between
 upper and lower circles, a sign per crossing, cyclic traversal orders per
 circle, and a group color per upper circle.  Realizability on a genus-g
 surface is certified through the rotation system induced by the signs
-(see ``euler_certificate``); everything downstream consumes only the
-combinatorial data.
+(see ``euler_certificate``): a rotation system always describes an
+orientable surface, so its Euler characteristic is even and gives a genus
+with one count over the whole diagram.  Everything downstream consumes
+only the combinatorial data.
 """
 
 from __future__ import annotations
@@ -77,16 +79,17 @@ def euler_certificate(D: Diagram):
     """Total genus demanded by the rotation system, summed over connected
     components of the crossing graph, plus the component count.
 
-    Circles without crossings do not constrain the surface and are
-    ignored here.
+    The faces are the orbits of rho after theta.  A rotation system always
+    gives an orientable surface (Heffter-Edmonds), so each of the c
+    components has an even Euler characteristic 2 - 2 g_i, and the total
+    genus is c - chi/2 for chi = V - E + F counted once over all darts.
+    Circles without crossings do not constrain the surface and are ignored
+    here.
     """
-    cmap = D.crossing_map()
     theta = {}
-    for orders, kind in ((D.upper_orders, "u"), (D.lower_orders, "l")):
+    for kind, orders in zip("ul", D.families()):
         for order in orders:
-            n = len(order)
-            for t, cid in enumerate(order):
-                nxt = order[(t + 1) % n]
+            for cid, nxt in zip(order, order[1:] + order[:1]):
                 theta[(cid, kind, "out")] = (nxt, kind, "in")
                 theta[(nxt, kind, "in")] = (cid, kind, "out")
     rho = {}
@@ -105,40 +108,24 @@ def euler_certificate(D: Diagram):
             x = parent[x]
         return x
 
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for orders in (D.upper_orders, D.lower_orders):
+    for orders in D.families():
         for order in orders:
             for a, b in zip(order, order[1:]):
-                union(a, b)
+                parent[find(a)] = find(b)
+    components = len({find(c.id) for c in D.crossings})
 
-    components = {}
-    for c in D.crossings:
-        components.setdefault(find(c.id), set()).add(c.id)
-
-    total_genus = 0
-    for comp in components.values():
-        vertices = len(comp)
-        darts = [d for d in theta if d[0] in comp]
-        edges = len(darts) // 2
-        seen = set()
-        faces = 0
-        for start in darts:
-            if start in seen:
-                continue
-            faces += 1
-            d = start
-            while True:
-                seen.add(d)
-                d = rho[theta[d]]
-                if d == start:
-                    break
-        chi = vertices - edges + faces
-        if (2 - chi) % 2:
-            return None, len(components)  # non-orientable rotation data
-        total_genus += (2 - chi) // 2
-    return total_genus, len(components)
+    seen = set()
+    faces = 0
+    for start in theta:
+        if start in seen:
+            continue
+        faces += 1
+        d = start
+        while d not in seen:
+            seen.add(d)
+            d = rho[theta[d]]
+    chi = len(D.crossings) - len(theta) // 2 + faces
+    return components - chi // 2, components
 
 
 def validate_diagram(D: Diagram) -> Report:
@@ -167,10 +154,7 @@ def validate_diagram(D: Diagram) -> Report:
             report.fail(f"crossing {c.id} references lower circle {c.lower}")
     if not report.passed:
         return report
-    for orders, attr, kind in (
-        (D.upper_orders, "upper", "upper"),
-        (D.lower_orders, "lower", "lower"),
-    ):
+    for kind, orders in zip(("upper", "lower"), D.families()):
         seen = {}
         for circle, order in enumerate(orders):
             for cid in order:
@@ -182,10 +166,10 @@ def validate_diagram(D: Diagram) -> Report:
                         f"crossing {cid} appears twice in {kind} orders "
                         f"(circles {seen[cid]} and {circle})"
                     )
-                elif getattr(cmap[cid], attr) != circle:
+                elif getattr(cmap[cid], kind) != circle:
                     report.fail(
                         f"crossing {cid} listed on {kind} circle {circle} "
-                        f"but declares {getattr(cmap[cid], attr)}"
+                        f"but declares {getattr(cmap[cid], kind)}"
                     )
                 seen[cid] = circle
         missing = set(cmap) - set(seen)
@@ -211,9 +195,7 @@ def validate_diagram(D: Diagram) -> Report:
                 )
 
     demanded, _ = euler_certificate(D)
-    if demanded is None:
-        report.fail("rotation system is not orientable")
-    elif demanded > g:
+    if demanded > g:
         report.fail(
             f"rotation system demands genus {demanded}, diagram declares {g}"
         )
@@ -342,26 +324,33 @@ def _apply_relabel(D, m):
     return Diagram(g, crossings, upper, lower, colors, D.pi)
 
 
+def _family(m) -> int:
+    """The position in ``families()`` of the circles a move runs along."""
+    try:
+        return ("upper", "lower").index(m.circle)
+    except ValueError:
+        raise MoveError(f"unknown circle family {m.circle!r}") from None
+
+
 def _apply_reverse(D, m):
     k = m.index
-    if m.circle not in ("upper", "lower"):
-        raise MoveError(f"unknown circle family {m.circle!r}")
+    f = _family(m)
     if not (0 <= k < D.genus):
         raise MoveError(f"no {m.circle} circle {k}")
-    orders = D.upper_orders if m.circle == "upper" else D.lower_orders
-    on_circle = set(orders[k])
-    orders = tuple(tuple(reversed(o)) if i == k else o for i, o in enumerate(orders))
+    on_circle = set(D.families()[f][k])
+    upper, lower = (
+        tuple(tuple(reversed(o)) if (t, c) == (f, k) else o for c, o in enumerate(orders))
+        for t, orders in enumerate(D.families())
+    )
     crossings = tuple(
         Crossing(c.id, c.upper, c.lower, -c.sign if c.id in on_circle else c.sign)
         for c in D.crossings
     )
-    if m.circle == "lower":
-        return replace(D, crossings=crossings, lower_orders=orders)
     colors = D.colors
-    if D.colored:
+    if D.colored and m.circle == "upper":
         # Only an upper circle carries a color; reversing it inverts the color.
         colors = tuple(D.pi.inverse[a] if i == k else a for i, a in enumerate(D.colors))
-    return replace(D, crossings=crossings, upper_orders=orders, colors=colors)
+    return Diagram(D.genus, crossings, upper, lower, colors, D.pi)
 
 
 def _apply_two_point_insert(D, m):
@@ -469,48 +458,36 @@ def _apply_slide(D, m):
     g = D.genus
     if not (0 <= i < g and 0 <= j < g):
         raise MoveError("slide references missing circles")
-    cmap = D.crossing_map()
-    base = D.fresh_id()
-    along_upper = m.circle == "upper"
-    moving_orders = D.upper_orders if along_upper else D.lower_orders
-    slid = moving_orders[j]
+    f = _family(m)
+    orders = list(D.families())
+    slid = orders[f][j]
     if not slid:
         raise MoveError("cannot slide past a circle without crossings")
+    cmap = D.crossing_map()
+    base = D.fresh_id()
     copied = _rotate(slid, m.band_other)
     twin_of = {cid: base + t for t, cid in enumerate(copied)}
-    twins = []
-    for cid in copied:
-        c = cmap[cid]
-        owner = (i, c.lower) if along_upper else (c.upper, i)
-        twins.append(Crossing(twin_of[cid], owner[0], owner[1], c.sign))
-    crossings = D.crossings + tuple(twins)
-
-    new_moving = list(moving_orders)
-    new_moving[i] = _insert(
-        moving_orders[i], m.band_self, tuple(twin_of[cid] for cid in copied)
+    # A twin lies on the moving circle i and on its original's transverse circle.
+    crossings = D.crossings + tuple(
+        replace(cmap[cid], id=twin_of[cid], **{m.circle: i}) for cid in copied
     )
-    # On the transverse circle each twin sits next to its original; the
-    # copy runs parallel to the slid circle, so the twin precedes the
-    # original at a positive crossing and follows it at a negative one.
-    other_orders = list(D.lower_orders if along_upper else D.upper_orders)
-    for circle, order in enumerate(other_orders):
-        out = []
-        for cid in order:
-            if cid in twin_of:
-                if cmap[cid].sign == 1:
-                    out.extend([twin_of[cid], cid])
-                else:
-                    out.extend([cid, twin_of[cid]])
-            else:
-                out.append(cid)
-        other_orders[circle] = tuple(out)
 
-    if along_upper:
-        upper, lower = tuple(new_moving), tuple(other_orders)
-    else:
-        upper, lower = tuple(other_orders), tuple(new_moving)
+    def beside(cid):
+        # The copy runs parallel to the slid circle, so on the transverse
+        # circle the twin precedes its original at a positive crossing and
+        # follows it at a negative one.
+        if cid not in twin_of:
+            return (cid,)
+        return (twin_of[cid], cid) if cmap[cid].sign == 1 else (cid, twin_of[cid])
+
+    band = tuple(twin_of[cid] for cid in copied)
+    orders[f] = tuple(
+        _insert(o, m.band_self, band) if c == i else o for c, o in enumerate(orders[f])
+    )
+    orders[1 - f] = tuple(tuple(x for cid in o for x in beside(cid)) for o in orders[1 - f])
+    upper, lower = orders
     colors = D.colors
-    if D.colored and along_upper:
+    if D.colored and m.circle == "upper":
         # The slid copy keeps color a_i^-1 a_j; the moving circle keeps a_i.
         ai, aj = D.colors[i], D.colors[j]
         new_aj = D.pi.mul[D.pi.inverse[ai]][aj]
@@ -540,7 +517,7 @@ def apply_move(D: Diagram, m: MoveSpec) -> Diagram:
     # Insertion/band positions are free parameters; combinations that force
     # extra genus do not correspond to a move on the declared surface.
     demanded, _ = euler_certificate(result)
-    if demanded is None or demanded > result.genus:
+    if demanded > result.genus:
         raise MoveError(
             f"{m.kind} parameters are not realizable on a genus-"
             f"{result.genus} surface (certificate demands {demanded})"

@@ -192,12 +192,22 @@ def _value(*nodes) -> Scalar:
 def _checker(report):
     """``check(message, order, lhs, rhs)`` contracts the two networks, which
     have the same open legs, and files ``message(key)`` as a violation for
-    the first key, over the legs named in ``order``, where they differ."""
+    the first key, over the legs named in ``order``, where they differ.
+
+    The sides are compared in place: a key of one side is read on the
+    other, and in ``order``, through the leg labels."""
 
     def check(message, order, lhs, rhs):
         left, right = (contract_network(side) for side in (lhs, rhs))
-        left, right = (t.permute([t.axis(x) for x in order]).data for t in (left, right))
-        keys = [k for k in left.keys() | right.keys() if left.get(k) != right.get(k)]
+        to_right, to_order = ([left.axis(x) for x in labels] for labels in (right.labels, order))
+        keys = [tuple(k[i] for i in to_order) for k, v in left.data.items()
+                if right.data.get(tuple(k[i] for i in to_right)) != v]
+        # Each left key not in ``keys`` is stored on the right too, so the
+        # right holds keys the left lacks only if it is larger than that.
+        if len(right.data) > len(left.data) - len(keys):
+            to_left, to_order = ([right.axis(x) for x in labels] for labels in (left.labels, order))
+            keys += [tuple(k[i] for i in to_order) for k in right.data
+                     if tuple(k[i] for i in to_left) not in left.data]
         if keys:
             report.fail(message(min(keys)))
         return not keys

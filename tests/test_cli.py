@@ -122,6 +122,9 @@ def test_malformed_diagram_rejected(z2):
          "upper_orders entry must be an integer, got 1.0"),
         (lambda d: d.update(lower_orders=[5]), "lower_orders must be a list of integers, got 5"),
         (lambda d: d.update(colors=[True]), "unknown group element True"),
+        (lambda d: d.update(colors="1"), "colors must be a list of group elements, got '1'"),
+        (lambda d: d.update(colors={"1": 5}),
+         "colors must be a list of group elements, got {'1': 5}"),
     ]
     for edit, message in cases:
         broken = json.loads(json.dumps(data))
@@ -346,6 +349,11 @@ def test_oversized_groups_rejected(rp3_file, capsys):
         (["oracle-compare", "--phi", "mod2-z100000", "--diagram", rp3_file], "more than"),
         (["oracle-compare", "--phi", "mod0-z4", "--diagram", rp3_file], "modulus"),
         (["validate-algebra", "fun-mod0-z4"], "modulus"),
+        (["colorings", "--diagram", rp3_file, "--group", "z0"], "group 'z0' needs order >= 1"),
+        (["colorings", "--diagram", rp3_file, "--group", "cyclic-0"],
+         "group 'cyclic-0' needs order >= 1"),
+        (["colorings", "--diagram", rp3_file, "--group", "s0"], "group 's0' needs degree >= 1"),
+        (["validate-algebra", "fun-trivial-z0"], "group 'z0' needs order >= 1"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

@@ -258,3 +258,18 @@ def test_moves_always_yield_valid_diagrams(z2):
             report = validate_diagram(E)
             assert report.passed, (m, report.violations)
             D = E
+
+
+def test_certificate_adds_over_components():
+    # A connected sum adds genus and components; mirroring changes neither.
+    # Random diagrams often have several components, which no other test
+    # reaches.
+    rng = random.Random(11)
+    counts = set()
+    for _ in range(1500):
+        A, B = (random_diagram(rng, genus_max=3, max_crossings=12) for _ in range(2))
+        (ga, ca), (gb, cb) = euler_certificate(A), euler_certificate(B)
+        assert euler_certificate(connected_sum(A, B)) == (ga + gb, ca + cb)
+        assert euler_certificate(mirror_diagram(A)) == (ga, ca)
+        counts.add(ca)
+    assert {2, 3} <= counts

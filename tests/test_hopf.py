@@ -6,9 +6,10 @@ import pytest
 
 from hopfk.cli import main
 from hopfk.fuzz import mutate_algebra
-from hopfk.groups import GroupHom, cyclic_group, symmetric_group, trivial_hom
+from hopfk.groups import GroupHom, Report, cyclic_group, symmetric_group, trivial_hom
 from hopfk.hopf import (
     StructureError,
+    _checker,
     build_function_hopf,
     build_kac_paljutkin,
     check_shapes,
@@ -508,3 +509,20 @@ def test_conjugation_crossing_s3(s3):
 def test_with_identity_crossing(fs3):
     # build_function_hopf attaches the identity crossing when pi is abelian
     assert validate_crossing(fs3).passed
+
+
+def test_checker_reads_both_leg_orders_and_keys_only_on_the_right():
+    left = GradedTensor((Leg("x", 2), Leg("y", 2)), {(0, 1): ONE, (1, 0): Scalar(2)})
+    report = Report()
+    check = _checker(report)
+    message = "differ at {}".format
+    # The same tensor stored with its legs swapped.
+    assert check(message, "xy", [left], [left.permute((1, 0))])
+    # Stored (y, x): (1, 0) agrees, x=1 y=0 is only on the left, and the
+    # first difference in x, y order, x=0 y=0, is only on the right.
+    right = GradedTensor((Leg("y", 2), Leg("x", 2)), {(1, 0): ONE, (0, 0): ONE})
+    assert not check(message, "xy", [left], [right])
+    # Every left key agrees; the right holds one more.
+    more = GradedTensor((Leg("y", 2), Leg("x", 2)), {(1, 0): ONE, (0, 1): Scalar(2), (1, 1): I})
+    assert not check(message, "yx", [left], [more])
+    assert report.violations == ["differ at (0, 0)", "differ at (1, 1)"]
