@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 any check FAILed or a validation error, 2 file
-I/O or parse problems.
+Exit codes: 0 success; 1 a check FAILed, a validation error, or a resource
+cap was hit; 2 file I/O problems, or malformed or oversized input.
+
+Every subcommand builds one record and its text lines, and ``_emit`` prints
+one or the other.
 """
 
 from __future__ import annotations
@@ -35,86 +38,77 @@ from .scalars import Scalar, format_scalar
 from .tensors import EntryCapExceeded
 
 
-def _emit_report(name: str, report: Report, as_json: bool):
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "check": name,
-                    "passed": report.passed,
-                    "violations": report.violations,
-                    "warnings": report.warnings,
-                },
-                sort_keys=True,
-            )
-        )
+def _emit(args, record, lines):
+    """Print ``record`` as one sorted-key JSON line under ``--json``, else
+    print each of the text ``lines``."""
+    if args.json:
+        print(json.dumps(record, sort_keys=True))
     else:
-        print(f"{name}: {'pass' if report.passed else 'FAIL'}")
-        for v in report.violations:
-            print(f"  violation: {v}")
-        for w in report.warnings:
-            print(f"  warning: {w}")
+        for line in lines:
+            print(line)
+
+
+def _emit_report(args, name: str, report: Report) -> bool:
+    lines = [f"{name}: {'pass' if report.passed else 'FAIL'}"]
+    lines += [f"  violation: {v}" for v in report.violations]
+    lines += [f"  warning: {w}" for w in report.warnings]
+    record = {
+        "check": name,
+        "passed": report.passed,
+        "violations": report.violations,
+        "warnings": report.warnings,
+    }
+    _emit(args, record, lines)
+    return report.passed
+
+
+def _valid(args, D) -> bool:
+    """Whether ``D`` passes ``validate_diagram``; the report is printed if not."""
+    report = validate_diagram(D)
+    if not report.passed:
+        _emit_report(args, "validate_diagram", report)
     return report.passed
 
 
 def _colored_diagram(args, pi):
-    """Load ``args.diagram`` colored over ``pi`` and validate it.  Returns
-    (D, 0), or (None, exit code) after reporting why it cannot be used."""
+    """Load ``args.diagram`` colored over ``pi``.  Returns None, after the
+    failing validation report is printed, if the diagram cannot be used."""
     D = load_diagram(args.diagram, pi)
     if not D.colored:
-        print("error: diagram file carries no colors", file=sys.stderr)
-        return None, 2
-    report = validate_diagram(D)
-    if not report.passed:
-        _emit_report("validate_diagram", report, args.json)
-        return None, 1
-    return D, 0
+        raise DataFormatError("diagram file carries no colors")
+    return D if _valid(args, D) else None
 
 
 def cmd_validate_algebra(args) -> int:
     H = load_algebra(args.algebra)
-    ok = _emit_report("validate_hopf", validate_hopf(H), args.json)
+    ok = _emit_report(args, "validate_hopf", validate_hopf(H))
     if ok:
         integral = derive_integral_data(H)
         lemmas = check_structural_lemmas(H, integral, cyclic_bound=args.cyclic_bound)
-        ok = _emit_report("check_structural_lemmas", lemmas, args.json)
-        ok = _emit_report("validate_crossing", validate_crossing(H), args.json) and ok
+        ok = _emit_report(args, "check_structural_lemmas", lemmas)
+        ok = _emit_report(args, "validate_crossing", validate_crossing(H)) and ok
     return 0 if ok else 1
 
 
 def cmd_invariant(args) -> int:
     H = load_algebra(args.algebra)
-    D, code = _colored_diagram(args, H.pi)
+    D = _colored_diagram(args, H.pi)
     if D is None:
-        return code
+        return 1
     Z, K = contract_invariant(H, D)
-    if args.json:
-        print(json.dumps(result_record(D, Z, K), sort_keys=True))
-    else:
-        print(f"Z = {format_scalar(Z)}")
-        print(f"K = {format_scalar(K)}")
+    lines = [f"Z = {format_scalar(Z)}", f"K = {format_scalar(K)}"]
+    _emit(args, result_record(D, Z, K), lines)
     return 0
 
 
 def cmd_colorings(args) -> int:
     pi = load_group(args.group)
     D = load_diagram(args.diagram, ignore_colors=True)
-    report = validate_diagram(D)
-    if not report.passed:
-        _emit_report("validate_diagram", report, args.json)
+    if not _valid(args, D):
         return 1
-    colorings = enumerate_colorings(D, pi)
-    if args.json:
-        print(
-            json.dumps(
-                {"colorings": [[pi.names[a] for a in c] for c in colorings]},
-                sort_keys=True,
-            )
-        )
-    else:
-        for c in colorings:
-            print(" ".join(pi.names[a] for a in c))
-        print(f"total: {len(colorings)}")
+    colorings = [[pi.names[a] for a in c] for c in enumerate_colorings(D, pi)]
+    lines = [" ".join(c) for c in colorings] + [f"total: {len(colorings)}"]
+    _emit(args, {"colorings": colorings}, lines)
     return 0
 
 
@@ -125,81 +119,51 @@ def cmd_lens_table(args) -> int:
         D = lens_diagram(p)
         for colors in enumerate_colorings(D, H.pi):
             Z, K = contract_invariant(H, D.with_colors(H.pi, colors))
-            rows.append((p, H.pi.names[colors[0]], format_scalar(K)))
-    if args.json:
-        print(
-            json.dumps(
-                [{"p": p, "color": c, "K": k} for p, c, k in rows], sort_keys=True
-            )
-        )
-    else:
-        for p, c, k in rows:
-            print(f"p={p} color={c} K={k}")
+            rows.append({"p": p, "color": H.pi.names[colors[0]], "K": format_scalar(K)})
+    _emit(args, rows, ["p={p} color={color} K={K}".format(**row) for row in rows])
     return 0
 
 
 def cmd_oracle_compare(args) -> int:
     phi = load_hom(args.phi)
-    D, code = _colored_diagram(args, phi.target)
+    D = _colored_diagram(args, phi.target)
     if D is None:
-        return code
+        return 1
     H = build_function_hopf(phi)
     Z, K = contract_invariant(H, D)
     n = count_lifts(LiftCountQuery(tuple(extract_words(D)), D.colors, phi))
     match = K == Scalar(n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "K": format_scalar(K),
-                    "lift_count": n,
-                    "status": "PASS" if match else "FAIL",
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"contraction K = {format_scalar(K)}")
-        print(f"lift count    = {n}")
-        print("PASS" if match else "FAIL")
+    record = {"K": format_scalar(K), "lift_count": n, "status": "PASS" if match else "FAIL"}
+    lines = [f"contraction K = {record['K']}", f"lift count    = {n}", record["status"]]
+    _emit(args, record, lines)
     return 0 if match else 1
 
 
 def cmd_move_fuzz(args) -> int:
     H = load_algebra(args.algebra)
-    D, code = _colored_diagram(args, H.pi)
+    D = _colored_diagram(args, H.pi)
     if D is None:
-        return code
+        return 1
     rng = random.Random(args.seed)
     Z0, K0 = contract_invariant(H, D)
     steps = []
-    ok = True
     for m, E in random_move_walk(rng, D, args.steps):
         Z, K = contract_invariant(H, E)
-        same = K == K0
-        ok = ok and same
-        steps.append((m.kind, format_scalar(K), same))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "baseline_K": format_scalar(K0),
-                    "steps": [
-                        {"move": kind, "K": k, "constant": same}
-                        for kind, k, same in steps
-                    ],
-                    "status": "PASS" if ok else "FAIL",
-                },
-                sort_keys=True,
-            )
+        steps.append({"move": m.kind, "K": format_scalar(K), "constant": K == K0})
+    ok = all(step["constant"] for step in steps)
+    record = {
+        "seed": args.seed,
+        "baseline_K": format_scalar(K0),
+        "steps": steps,
+        "status": "PASS" if ok else "FAIL",
+    }
+    lines = [f"seed = {args.seed}", f"baseline K = {record['baseline_K']}"]
+    for step in steps:
+        lines.append(
+            f"  {step['move']}: K = {step['K']} {'ok' if step['constant'] else 'CHANGED'}"
         )
-    else:
-        print(f"seed = {args.seed}")
-        print(f"baseline K = {format_scalar(K0)}")
-        for kind, k, same in steps:
-            print(f"  {kind}: K = {k} {'ok' if same else 'CHANGED'}")
-        print("PASS" if ok else "FAIL")
+    lines.append(record["status"])
+    _emit(args, record, lines)
     return 0 if ok else 1
 
 

@@ -73,7 +73,7 @@ def _parse_scalar(node, where) -> Scalar:
             return parse_scalar(node)
         except ScalarParseError as exc:
             raise DataFormatError(f"bad scalar in {where}: {exc}") from exc
-    if isinstance(node, int):
+    if isinstance(node, int) and not isinstance(node, bool):
         return Scalar(node)
     raise DataFormatError(f"bad scalar entry in {where}: {node!r}")
 

@@ -115,36 +115,13 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-# Grammar: [+-] a[/b] [ (+|-) [c[/d]] i ], or a pure imaginary [+-][c[/d]]i.
-_PART = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
-_IMAG_PART = re.compile(r"^([+-]?)(\d*)(?:/(\d+))?i$")
-
-
-def _parse_rational(text: str) -> Fraction:
-    m = _PART.match(text)
-    if m is None:
-        raise ScalarParseError(f"malformed rational {text!r}")
-    sign, num, den = m.groups()
-    if den is not None and int(den) == 0:
-        raise ScalarParseError(f"zero denominator in {text!r}")
-    value = Fraction(int(num), int(den) if den is not None else 1)
-    return -value if sign == "-" else value
-
-
-def _parse_imaginary(text: str) -> Fraction:
-    m = _IMAG_PART.match(text)
-    if m is None:
-        raise ScalarParseError(f"malformed imaginary part {text!r}")
-    sign, num, den = m.groups()
-    if num == "" and den is None:
-        value = Fraction(1)
-    else:
-        if num == "":
-            raise ScalarParseError(f"malformed imaginary part {text!r}")
-        if den is not None and int(den) == 0:
-            raise ScalarParseError(f"zero denominator in {text!r}")
-        value = Fraction(int(num), int(den) if den is not None else 1)
-    return -value if sign == "-" else value
+# Grammar: an optional rational a[/b] and an optional imaginary part [c[/d]]i,
+# each with an optional sign; the sign before the imaginary part is required
+# when a real part precedes it.
+_SCALAR = re.compile(
+    r"(?P<re>[+-]?\d+(?:/\d+)?)?"
+    r"(?P<im>(?(re)[+-]|[+-]?)(?:\d+(?:/\d+)?)?i)?"
+)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -152,20 +129,18 @@ def parse_scalar(text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ScalarParseError("empty scalar string")
-    # Split off a trailing signed term, if any (sign not in first position).
-    split_at = None
-    for idx in range(len(s) - 1, 0, -1):
-        if s[idx] in "+-" and s[idx - 1] not in "+-":
-            split_at = idx
-            break
-    if split_at is not None:
-        head, tail = s[:split_at], s[split_at:]
-        if not tail.endswith("i"):
-            raise ScalarParseError(f"expected imaginary second term in {text!r}")
-        return Scalar(_parse_rational(head), _parse_imaginary(tail))
-    if s.endswith("i"):
-        return Scalar(0, _parse_imaginary(s))
-    return Scalar(_parse_rational(s), 0)
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise ScalarParseError(f"malformed scalar {text!r}")
+    re_part, im_part = m.group("re", "im")
+    if im_part is not None:
+        im_part = im_part[:-1]
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+    try:
+        return Scalar(re_part or 0, im_part or 0)
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(f"zero denominator in {text!r}") from exc
 
 
 def _format_rational(value: Fraction) -> str:

@@ -1,9 +1,12 @@
+import ast
 import json
+import pathlib
 import time
 from dataclasses import replace
 
 import pytest
 
+import hopfk.cli
 from hopfk.cli import main
 from hopfk.diagio import (
     DataFormatError,
@@ -19,7 +22,7 @@ from hopfk.diagio import (
     result_record,
 )
 from hopfk.groups import GroupHom
-from hopfk.heegaard import connected_sum, lens_diagram
+from hopfk.heegaard import connected_sum, lens_diagram, mirror_diagram
 from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, validate_hopf
 from hopfk.scalars import Scalar
 
@@ -196,6 +199,8 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
         (broken(lambda d: d.update(dim=[4.7, 4])), "dim entry must be an integer, got 4.7"),
         (broken(lambda d: d.update(dim=[4, True])), "dim entry must be an integer, got True"),
         (broken(lambda d: d.update(dim=[-1, 4])), "dim entry must be non-negative, got -1"),
+        (broken(lambda d: d.update(counit=[True, False, "0", "0"])),
+         "bad scalar entry in counit: True"),
     ]
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -359,3 +364,330 @@ def test_oversized_groups_rejected(rp3_file, capsys):
         assert message in capsys.readouterr().err
     assert main(["colorings", "--diagram", rp3_file, "--group", "s4"]) == 0
     assert "total: 10" in capsys.readouterr().out  # elements of S4 squaring to 1
+
+
+# -- golden output -----------------------------------------------------------------
+
+# (argv, exit code, stdout, stdout under --json, stderr in both modes).  A name
+# in braces is a file written by the ``golden_files`` fixture.
+GOLDEN = [
+    (
+        ["validate-algebra", "kp"],
+        0,
+        (
+            "validate_hopf: pass\n"
+            "check_structural_lemmas: pass\n"
+            "validate_crossing: pass\n"
+        ),
+        (
+            '{"check": "validate_hopf", "passed": true, "violations": [], "warnings": []}\n'
+            '{"check": "check_structural_lemmas", "passed": true, "violations": [], '
+            '"warnings": []}\n'
+            '{"check": "validate_crossing", "passed": true, "violations": [], "warnings": []}\n'
+        ),
+        "",
+    ),
+    (
+        ["validate-algebra", "{bad}"],
+        1,
+        (
+            "validate_hopf: FAIL\n"
+            "  violation: antipode law (S x id) fails in H_1 at 0\n"
+            "  violation: antipode law (id x S) fails in H_1 at 0\n"
+            "  violation: S_1 is not anti-multiplicative at (0,1)\n"
+            "  violation: antipode is not anti-comultiplicative at (1,1) basis 1\n"
+        ),
+        (
+            '{"check": "validate_hopf", "passed": false, "violations": ["antipode law (S x id) '
+            'fails in H_1 at 0", "antipode law (id x S) fails in H_1 at 0", "S_1 is not '
+            'anti-multiplicative at (0,1)", "antipode is not anti-comultiplicative at (1,1) '
+            'basis 1"], "warnings": []}\n'
+        ),
+        "",
+    ),
+    (
+        ["validate-algebra", "{nocross}"],
+        0,
+        (
+            "validate_hopf: pass\n"
+            "check_structural_lemmas: pass\n"
+            "validate_crossing: pass\n"
+            "  warning: crossing data not provided\n"
+        ),
+        (
+            '{"check": "validate_hopf", "passed": true, "violations": [], "warnings": []}\n'
+            '{"check": "check_structural_lemmas", "passed": true, "violations": [], '
+            '"warnings": []}\n'
+            '{"check": "validate_crossing", "passed": true, "violations": [], "warnings": '
+            '["crossing data not provided"]}\n'
+        ),
+        "",
+    ),
+    (
+        ["invariant", "--algebra", "kp", "--diagram", "{rp3}"],
+        0,
+        (
+            "Z = 8\n"
+            "K = 2\n"
+        ),
+        '{"K": "2", "Z": "8", "colors": ["1"], "genus": 1}\n',
+        "",
+    ),
+    (
+        ["colorings", "--diagram", "{rp3}", "--group", "z2"],
+        0,
+        (
+            "0\n"
+            "1\n"
+            "total: 2\n"
+        ),
+        '{"colorings": [["0"], ["1"]]}\n',
+        "",
+    ),
+    (
+        ["oracle-compare", "--phi", "mod2-z4", "--diagram", "{rp3}"],
+        0,
+        (
+            "contraction K = 0\n"
+            "lift count    = 0\n"
+            "PASS\n"
+        ),
+        '{"K": "0", "lift_count": 0, "status": "PASS"}\n',
+        "",
+    ),
+    (
+        ["move-fuzz", "--algebra", "kp", "--diagram", "{rp3}", "--steps", "6", "--seed", "3"],
+        0,
+        (
+            "seed = 3\n"
+            "baseline K = 2\n"
+            "  reverse: K = 2 ok\n"
+            "  stabilize: K = 2 ok\n"
+            "  stabilize: K = 2 ok\n"
+            "  reverse: K = 2 ok\n"
+            "  destabilize: K = 2 ok\n"
+            "  stabilize: K = 2 ok\n"
+            "PASS\n"
+        ),
+        (
+            '{"baseline_K": "2", "seed": 3, "status": "PASS", "steps": [{"K": "2", "constant": '
+            'true, "move": "reverse"}, {"K": "2", "constant": true, "move": "stabilize"}, '
+            '{"K": "2", "constant": true, "move": "stabilize"}, {"K": "2", "constant": true, '
+            '"move": "reverse"}, {"K": "2", "constant": true, "move": "destabilize"}, {"K": '
+            '"2", "constant": true, "move": "stabilize"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ["invariant", "--algebra", "kp", "--diagram", "{sum}"],
+        0,
+        (
+            "Z = 128\n"
+            "K = 8\n"
+        ),
+        '{"K": "8", "Z": "128", "colors": ["1", "0"], "genus": 2}\n',
+        "",
+    ),
+    (
+        ["colorings", "--diagram", "{sum}", "--group", "z2"],
+        0,
+        (
+            "0 0\n"
+            "0 1\n"
+            "1 0\n"
+            "1 1\n"
+            "total: 4\n"
+        ),
+        '{"colorings": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]}\n',
+        "",
+    ),
+    (
+        ["oracle-compare", "--phi", "mod2-z4", "--diagram", "{sum}"],
+        0,
+        (
+            "contraction K = 0\n"
+            "lift count    = 0\n"
+            "PASS\n"
+        ),
+        '{"K": "0", "lift_count": 0, "status": "PASS"}\n',
+        "",
+    ),
+    (
+        ["move-fuzz", "--algebra", "kp", "--diagram", "{sum}", "--steps", "6", "--seed", "3"],
+        0,
+        (
+            "seed = 3\n"
+            "baseline K = 8\n"
+            "  reverse: K = 8 ok\n"
+            "  slide: K = 8 ok\n"
+            "  reverse: K = 8 ok\n"
+            "  stabilize: K = 8 ok\n"
+            "  reverse: K = 8 ok\n"
+            "  stabilize: K = 8 ok\n"
+            "PASS\n"
+        ),
+        (
+            '{"baseline_K": "8", "seed": 3, "status": "PASS", "steps": [{"K": "8", "constant": '
+            'true, "move": "reverse"}, {"K": "8", "constant": true, "move": "slide"}, {"K": '
+            '"8", "constant": true, "move": "reverse"}, {"K": "8", "constant": true, "move": '
+            '"stabilize"}, {"K": "8", "constant": true, "move": "reverse"}, {"K": "8", '
+            '"constant": true, "move": "stabilize"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ["lens-table", "--algebra", "kp", "--max-n", "3"],
+        0,
+        (
+            "p=1 color=0 K=1\n"
+            "p=2 color=0 K=4\n"
+            "p=2 color=1 K=2\n"
+            "p=3 color=0 K=1\n"
+            "p=4 color=0 K=4\n"
+            "p=4 color=1 K=0\n"
+            "p=5 color=0 K=1\n"
+            "p=6 color=0 K=4\n"
+            "p=6 color=1 K=2\n"
+        ),
+        (
+            '[{"K": "1", "color": "0", "p": 1}, {"K": "4", "color": "0", "p": 2}, {"K": "2", '
+            '"color": "1", "p": 2}, {"K": "1", "color": "0", "p": 3}, {"K": "4", "color": "0", '
+            '"p": 4}, {"K": "0", "color": "1", "p": 4}, {"K": "1", "color": "0", "p": 5}, '
+            '{"K": "4", "color": "0", "p": 6}, {"K": "2", "color": "1", "p": 6}]\n'
+        ),
+        "",
+    ),
+    (
+        ["invariant", "--algebra", "kp", "--diagram", "{plain}"],
+        2,
+        "",
+        "",
+        "error: diagram file carries no colors\n",
+    ),
+    (
+        ["oracle-compare", "--phi", "mod2-z4", "--diagram", "{plain}"],
+        2,
+        "",
+        "",
+        "error: diagram file carries no colors\n",
+    ),
+    (
+        ["move-fuzz", "--algebra", "kp", "--diagram", "{plain}"],
+        2,
+        "",
+        "",
+        "error: diagram file carries no colors\n",
+    ),
+    (
+        ["invariant", "--algebra", "kp", "--diagram", "{l3}"],
+        1,
+        (
+            "validate_diagram: FAIL\n"
+            "  violation: color condition fails on lower circle 0: word x1.x1.x1 evaluates to "
+            "'1'\n"
+        ),
+        (
+            '{"check": "validate_diagram", "passed": false, "violations": ["color condition '
+            "fails on lower circle 0: word x1.x1.x1 evaluates to '1'\"], \"warnings\": []}\n"
+        ),
+        "",
+    ),
+    (
+        ["oracle-compare", "--phi", "mod2-z4", "--diagram", "{l3}"],
+        1,
+        (
+            "validate_diagram: FAIL\n"
+            "  violation: color condition fails on lower circle 0: word x1.x1.x1 evaluates to "
+            "'1'\n"
+        ),
+        (
+            '{"check": "validate_diagram", "passed": false, "violations": ["color condition '
+            "fails on lower circle 0: word x1.x1.x1 evaluates to '1'\"], \"warnings\": []}\n"
+        ),
+        "",
+    ),
+    (
+        ["move-fuzz", "--algebra", "kp", "--diagram", "{l3}"],
+        1,
+        (
+            "validate_diagram: FAIL\n"
+            "  violation: color condition fails on lower circle 0: word x1.x1.x1 evaluates to "
+            "'1'\n"
+        ),
+        (
+            '{"check": "validate_diagram", "passed": false, "violations": ["color condition '
+            "fails on lower circle 0: word x1.x1.x1 evaluates to '1'\"], \"warnings\": []}\n"
+        ),
+        "",
+    ),
+    (
+        ["colorings", "--diagram", "{broken}", "--group", "z2"],
+        1,
+        (
+            "validate_diagram: FAIL\n"
+            "  violation: crossing 0 appears twice in upper orders (circles 0 and 0)\n"
+            "  violation: crossings [1] missing from upper orders\n"
+        ),
+        (
+            '{"check": "validate_diagram", "passed": false, "violations": ["crossing 0 appears '
+            'twice in upper orders (circles 0 and 0)", "crossings [1] missing from upper '
+            'orders"], "warnings": []}\n'
+        ),
+        "",
+    ),
+]
+
+
+@pytest.fixture()
+def golden_files(tmp_path, kp, z2):
+    summed = connected_sum(lens_diagram(2), mirror_diagram(lens_diagram(4)))
+    broken = dump_diagram(lens_diagram(2))
+    broken["upper_orders"] = [[0, 0]]
+    bad = dump_algebra(kp)
+    bad["antipode"]["1"] = bad["antipode"]["0"]
+    nocross = dump_algebra(kp)
+    del nocross["crossing"]
+    contents = {
+        "rp3": dump_diagram(lens_diagram(2).with_colors(z2, (1,))),
+        "sum": dump_diagram(summed.with_colors(z2, (1, 0))),
+        "plain": dump_diagram(lens_diagram(2)),
+        "l3": dump_diagram(lens_diagram(3).with_colors(z2, (1,))),  # x^3 != 1 at x = 1
+        "broken": broken,
+        "bad": bad,
+        "nocross": nocross,
+    }
+    files = {}
+    for name, data in contents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, code, text, as_json, err",
+    GOLDEN,
+    ids=["-".join(a.strip("{}") for a in case[0] if not a.startswith("--")) for case in GOLDEN],
+)
+def test_cli_golden_bytes(golden_files, capsys, argv, code, text, as_json, err):
+    # the full stdout, stderr and exit code, in text and in --json mode
+    argv = [a.format(**golden_files) for a in argv]
+    for extra, out in (([], text), (["--json"], as_json)):
+        assert main(argv + extra) == code
+        assert capsys.readouterr() == (out, err)
+
+
+def test_json_dumps_called_only_in_emit():
+    # one output path: cli.py serialises a record in ``_emit`` and nowhere else
+    tree = ast.parse(pathlib.Path(hopfk.cli.__file__).read_text())
+
+    def dumps_calls(root):
+        return [
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        ]
+
+    (emit,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit"]
+    assert dumps_calls(tree) == dumps_calls(emit) and len(dumps_calls(emit)) == 1

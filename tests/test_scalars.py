@@ -56,9 +56,15 @@ def test_parse_examples():
     assert parse_scalar("1/2+1/2i") == Scalar(Fraction(1, 2), Fraction(1, 2))
     assert parse_scalar("1 - 2i") == Scalar(1, -2)
     assert parse_scalar("0") == ZERO
+    assert parse_scalar("+i") == I
+    assert parse_scalar("1-i") == Scalar(1, -1)
+    assert parse_scalar("-0") == ZERO
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1+2", "i2", "1//2", "+-1", "2i+1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "x", "1/0", "1+2", "i2", "1//2", "+-1", "2i+1", "/3i", "0/0", "1+0/0i", "1i+2", "3\n"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)
