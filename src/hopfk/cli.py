@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a check FAILed, a validation error, or a resource
-cap was hit; 2 file I/O problems, or malformed or oversized input.
+cap was hit; 2 file I/O problems, malformed or oversized input, or bad usage.
 
 Every subcommand builds one record and its text lines, and ``_emit`` prints
 one or the other.
@@ -167,6 +167,14 @@ def cmd_move_fuzz(args) -> int:
     return 0 if ok else 1
 
 
+def positive_int(text) -> int:
+    """An argparse type for counts: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfk",
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate-algebra", cmd_validate_algebra, help="check all axioms")
     p.add_argument("algebra", help="builtin name or algebra JSON file")
-    p.add_argument("--cyclic-bound", type=int, default=4)
+    p.add_argument("--cyclic-bound", type=positive_int, default=4)
 
     p = add("invariant", cmd_invariant, help="compute Z and K of a colored diagram")
     p.add_argument("--algebra", required=True)
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lens-table", cmd_lens_table, help="K for the genus-1 x^p family")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=positive_int, required=True)
 
     p = add("oracle-compare", cmd_oracle_compare, help="contraction vs lift count")
     p.add_argument("--phi", required=True, help="builtin name or hom JSON file")
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("move-fuzz", cmd_move_fuzz, help="random moves, assert K constant")
     p.add_argument("--algebra", required=True)
     p.add_argument("--diagram", required=True)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -152,14 +152,14 @@ def parse_group(data) -> GroupTable:
 def builtin_group(name: str) -> GroupTable:
     key = name.strip().lower()
     for prefix in ("z", "cyclic-"):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
+        if key.startswith(prefix) and key[len(prefix):].isdigit() and key.isascii():
             n = int(key[len(prefix):])
             if n < 1:
                 raise DataFormatError(f"group {name!r} needs order >= 1")
             _check_order(name, n)
             return cyclic_group(n)
     for prefix in ("s", "symmetric-"):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
+        if key.startswith(prefix) and key[len(prefix):].isdigit() and key.isascii():
             n = int(key[len(prefix):])
             if n < 1:
                 raise DataFormatError(f"group {name!r} needs degree >= 1")
@@ -171,14 +171,14 @@ def builtin_group(name: str) -> GroupTable:
 
 def element_index(pi: GroupTable, label) -> int:
     """The element a file names: by its name, else by its index (a JSON
-    integer, or a string of digits that no name matches)."""
+    integer, or a string of ASCII digits that no name matches)."""
     if isinstance(label, int) and not isinstance(label, bool):
         if 0 <= label < pi.order:
             return label
         raise DataFormatError(f"group element index {label} out of range")
     if label in pi.names:
         return pi.names.index(label)
-    if isinstance(label, str) and label.isdigit() and int(label) < pi.order:
+    if isinstance(label, str) and label.isdigit() and label.isascii() and int(label) < pi.order:
         return int(label)
     raise DataFormatError(f"unknown group element {label!r}")
 
@@ -192,7 +192,7 @@ def builtin_hom(name: str) -> GroupHom:
         return sign_hom_s3()
     if key.startswith("mod") and "-z" in key:
         m_part, n_part = key[3:].split("-z", 1)
-        if m_part.isdigit() and n_part.isdigit():
+        if m_part.isdigit() and n_part.isdigit() and key.isascii():
             _check_order(name, int(n_part))
             try:
                 return mod_hom(int(n_part), int(m_part))

@@ -25,8 +25,8 @@ same nested position; ``diagio`` converts between the two.
 ``total`` adds the components up to the total algebra H_tot, an ordinary
 Hopf algebra, and the validators check each identity once there: a graded
 identity is one block of the matching identity of H_tot.  That holds for
-every axiom but coassociativity, which stays a loop over the triples of
-components, and for the integral identities and the cyclic lemmas.  A
+every axiom, coassociativity included (checked one basis vector of H_tot
+at a time), and for the integral identities and the cyclic lemmas.  A
 crossing is an action of pi on H_tot by Hopf automorphisms phi_b sending
 H_a to H_{bab^-1}, and is checked as such.
 """
@@ -226,19 +226,18 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     """Check every defining identity of an involutory Hopf pi-coalgebra.
 
     Each identity is a pair of networks of relabelled structure tensors,
-    one letter per leg, that must agree on their open legs.  All but
-    coassociativity are checked once on H_tot (see ``total``): each graded
-    identity is one block of the matching identity of H_tot, and a
-    violation names the components of its first differing entry.  That
-    the support is a subgroup follows: Delta_{a,b}(1_ab) = 1_a (x) 1_b is
-    nonzero when H_a and H_b are, and a finite set closed under products
-    is a subgroup.
+    one letter per leg, that must agree on their open legs.  Each is
+    checked once on H_tot (see ``total``): each graded identity is one
+    block of the matching identity of H_tot, and a violation names the
+    components of its first differing entry.  That the support is a
+    subgroup follows: Delta_{a,b}(1_ab) = 1_a (x) 1_b is nonzero when H_a
+    and H_b are, and a finite set closed under products is a subgroup.
     """
     Ht, offsets = total(H)
     report = Report()
     check = _checker(report)
     pi, names = H.pi, H.pi.names
-    n, e, inv = pi.order, pi.identity, pi.inverse
+    e, inv = pi.identity, pi.inverse
     mul, unit, delta, S, eps = Ht.mul[0], Ht.unit[0], Ht.delta[(0, 0)], Ht.antipode[0], Ht.counit
     one = GradedTensor.identity("x", "y", offsets[-1])
 
@@ -258,18 +257,18 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     check(lambda k: f"right unit fails in H_{name(k[0])} at basis {local(k)[0]}", "xy",
           [_at(mul, "xuy"), _at(unit, "u")], [one])
 
-    # Coassociativity over all triples; each Delta block plays four roles.
-    # It stays graded: on H_tot each side holds all of its terms at once
-    # (13,824 for F(S4) graded by the identity), which raised the peak RSS
-    # of the benchmark's validate workload from 27.4 to 35.9 MiB (median of
-    # 3 runs each, Python 3.11 on a 2-CPU container).
-    role = {r: {k: _at(t, r) for k, t in H.delta.items()} for r in ("xml", "mjk", "xjm", "mkl")}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        ab, bc = pi.mul[a][b], pi.mul[b][c]
-        check(lambda k: f"coassociativity fails at ({names[a]},{names[b]},{names[c]}) "
-              f"basis {k[0]}", "xjkl",
-              [role["xml"][(ab, c)], role["mjk"][(a, b)]],
-              [role["xjm"][(a, bc)], role["mkl"][(b, c)]])
+    # Coassociativity, one basis vector x of H_tot at a time, so each side holds
+    # only the terms of Delta(x) split three ways (|G|^2 for F(G), not |G|^3).
+    # The row Delta(x) goes second: the hash join buckets it, not all of Delta.
+    rows = {}
+    for key, v in delta.data.items():
+        rows.setdefault(key[0], {})[key] = v
+    for x in sorted(rows):
+        row = GradedTensor(delta.legs, rows[x])
+        if not check(lambda k: f"coassociativity fails at ({name(k[1])},{name(k[2])},"
+                     f"{name(k[3])}) basis {local(k)[0]}", "xjkl",
+                     [_at(delta, "mjk"), _at(row, "xml")], [_at(delta, "mkl"), _at(row, "xjm")]):
+            break
 
     # Counit law.
     check(lambda k: f"counit law (id x eps) fails in H_{name(k[0])} at {local(k)[0]}", "xy",

@@ -119,8 +119,8 @@ I = Scalar(0, 1)
 # each with an optional sign; the sign before the imaginary part is required
 # when a real part precedes it.
 _SCALAR = re.compile(
-    r"(?P<re>[+-]?\d+(?:/\d+)?)?"
-    r"(?P<im>(?(re)[+-]|[+-]?)(?:\d+(?:/\d+)?)?i)?"
+    r"(?P<re>[+-]?[0-9]+(?:/[0-9]+)?)?"
+    r"(?P<im>(?(re)[+-]|[+-]?)(?:[0-9]+(?:/[0-9]+)?)?i)?"
 )
 
 

@@ -10,6 +10,7 @@ import hopfk.cli
 from hopfk.cli import main
 from hopfk.diagio import (
     DataFormatError,
+    UnknownNameError,
     builtin_algebra,
     builtin_group,
     builtin_hom,
@@ -75,6 +76,13 @@ def test_builtin_names():
     for bad in ("z", "q8", "mod3-z4", "fun-nope"):
         with pytest.raises(DataFormatError):
             builtin_group(bad) if bad[0] in "zq" else builtin_hom(bad)
+    # counts are ASCII digits: a superscript two or an Arabic-Indic one names nothing
+    for bad in ("s\u00b2", "z\u0661", "cyclic-\u0663", "symmetric-\uff13"):
+        with pytest.raises(UnknownNameError):
+            builtin_group(bad)
+    for bad in ("mod\u00b2-z4", "mod2-z\u0664", "trivial-s\u00b2"):
+        with pytest.raises(UnknownNameError):
+            builtin_hom(bad)
 
 
 def test_parse_group_table_and_hom():
@@ -86,6 +94,10 @@ def test_parse_group_table_and_hom():
         parse_hom({"source": "z4", "target": "z2", "image": [0, 1, 1, 0]})
     with pytest.raises(DataFormatError):
         parse_group({"names": ["e"]})
+    # an index given as a string is ASCII digits; "\u0661" is an unknown name
+    assert parse_hom({"source": "z4", "target": "z2", "image": ["0", "1", "0", "1"]}) == phi
+    with pytest.raises(DataFormatError, match="unknown group element"):
+        parse_hom({"source": "z4", "target": "z2", "image": ["0", "\u0661", "0", "\u0661"]})
 
 
 def test_malformed_algebra_rejected(kp):
@@ -364,6 +376,41 @@ def test_oversized_groups_rejected(rp3_file, capsys):
         assert message in capsys.readouterr().err
     assert main(["colorings", "--diagram", rp3_file, "--group", "s4"]) == 0
     assert "total: 10" in capsys.readouterr().out  # elements of S4 squaring to 1
+
+
+def test_non_ascii_digits_are_unknown_names(rp3_file, capsys):
+    # names that are neither builtins nor files: exit 2, never a raw int() error
+    for argv in (
+        ["validate-algebra", "fun-trivial-s\u00b2"],
+        ["validate-algebra", "fun-mod\u00b2-z4"],
+        ["colorings", "--diagram", rp3_file, "--group", "z\u0661"],
+        ["oracle-compare", "--phi", "mod2-z\u0664", "--diagram", rp3_file],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and "invalid literal" not in err
+
+
+def test_colors_given_as_non_ascii_digits_are_unknown(tmp_path, z2, capsys):
+    data = dump_diagram(lens_diagram(2).with_colors(z2, (1,)))
+    data["colors"] = ["\u0661"]
+    path = tmp_path / "colored.json"
+    path.write_text(json.dumps(data))
+    assert main(["invariant", "--algebra", "kp", "--diagram", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown group element '\u0661'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-algebra", "kp", "--cyclic-bound", "-3"],
+    ["lens-table", "--algebra", "kp", "--max-n", "-2"],
+    ["move-fuzz", "--algebra", "kp", "--diagram", "unused.json", "--steps", "-4"],
+])
+def test_count_options_refuse_values_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hopfk ") and f"must be at least 1, got {argv[-1]}" in err
 
 
 # -- golden output -----------------------------------------------------------------

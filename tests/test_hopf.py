@@ -405,16 +405,47 @@ def test_mutation_sensitivity(kp):
         assert broken, f"mutation went undetected: {desc}"
 
 
-def test_dense_reference_agrees(kp, fs3):
+def test_dense_reference_agrees(kp, fs3, s3):
     rng = random.Random(2024)
     algebras = [kp, dual_variants(kp, "opposite"), dual_variants(kp, "coopposite"), fs3]
     algebras += [mutate_algebra(kp, rng)[1] for _ in range(20)]
+    # F(id-S3) has one-dimensional components: each basis vector of H_tot
+    # is a component of its own.
+    fid = build_function_hopf(GroupHom(s3, s3, tuple(range(s3.order))))
+    for H in (fs3, fid):
+        algebras += [mutate_algebra(H, rng)[1] for _ in range(20)]
     for H in algebras:
         violations = validate_hopf(H).violations
         engine = {
             axiom for axiom, text in AXIOM_TEXT.items() if any(text in v for v in violations)
         }
         assert engine == Dense(H).failures()
+
+
+def test_coassociativity_files_one_violation(kp):
+    d01 = kp.delta[(0, 1)]
+    bumped = GradedTensor(d01.legs, {**d01.data, (0, 0, 0): d01.entry((0, 0, 0)) + ONE})
+    violations = validate_hopf(replace(kp, delta={**kp.delta, (0, 1): bumped})).violations
+    coassociativity = [v for v in violations if v.startswith("coassociativity fails at ")]
+    assert coassociativity == ["coassociativity fails at (0,1,1) basis 0"]
+
+
+def test_validation_contracts_at_most_g_squared_entries(monkeypatch):
+    # F(trivial-S4) is one component of dimension 24: no contraction of its
+    # validation may hold more than 24^2 entries, as checking coassociativity
+    # on all of H_tot at once would (24^3).
+    H = build_function_hopf(trivial_hom(symmetric_group(4)))
+    sizes = []
+    contract = GradedTensor.contract
+
+    def logged(self, other):
+        out = contract(self, other)
+        sizes.append(len(out.data))
+        return out
+
+    monkeypatch.setattr(GradedTensor, "contract", logged)
+    assert validate_hopf(H).passed
+    assert max(sizes) <= 24 ** 2
 
 
 def test_validators_share_the_entry_cap(kp, monkeypatch, capsys):

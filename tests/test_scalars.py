@@ -63,7 +63,9 @@ def test_parse_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x", "1/0", "1+2", "i2", "1//2", "+-1", "2i+1", "/3i", "0/0", "1+0/0i", "1i+2", "3\n"],
+    ["", "x", "1/0", "1+2", "i2", "1//2", "+-1", "2i+1", "/3i", "0/0", "1+0/0i", "1i+2", "3\n",
+     # digits are ASCII only: an Arabic-Indic three, a fullwidth one
+     "\u0663", "\uff11", "1/\u0663", "\u0663i"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
