@@ -35,7 +35,7 @@ from .hopf import (
     structure_maps,
     structure_tensor,
 )
-from .scalars import Scalar, ScalarParseError, format_scalar, parse_scalar
+from .scalars import ONE, Scalar, ScalarParseError, format_scalar, parse_scalar
 from .tensors import GradedTensor
 
 # Largest group a name or a table may describe.  Building a group takes
@@ -68,14 +68,18 @@ def _ints(node, field) -> tuple:
 
 
 def _parse_scalar(node, where) -> Scalar:
+    """The entry a file gives; the value 1 is the shared ``ONE``, so that
+    ``GradedTensor.contract`` skips its products as it does for builtins."""
     if isinstance(node, str):
         try:
-            return parse_scalar(node)
+            value = parse_scalar(node)
         except ScalarParseError as exc:
             raise DataFormatError(f"bad scalar in {where}: {exc}") from exc
-    if isinstance(node, int) and not isinstance(node, bool):
-        return Scalar(node)
-    raise DataFormatError(f"bad scalar entry in {where}: {node!r}")
+    elif isinstance(node, int) and not isinstance(node, bool):
+        value = Scalar(node)
+    else:
+        raise DataFormatError(f"bad scalar entry in {where}: {node!r}")
+    return ONE if value == ONE else value
 
 
 def _parse_tensor(node, pi, dim, field, key, where) -> GradedTensor:

@@ -78,6 +78,10 @@ class Scalar:
     # -- comparisons and hashing ------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Scalar:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
@@ -85,7 +89,9 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes as its ``Fraction``, which agrees with ``int``
+        # and ``Fraction`` on the values they are equal to.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -125,7 +125,10 @@ class GradedTensor:
         hash join computes one product per pair of stored entries that
         agree on the shared legs, and raises ``EntryCapExceeded`` as soon
         as their count passes ``entry_cap()``; so the cap bounds both the
-        time of a contraction and the entries of its result.
+        time of a contraction and the entries of its result.  A product
+        with a stored ``ONE`` is the other factor, taken without a multiply
+        (it still counts towards the cap); the builders and ``diagio`` store
+        every unit entry as that shared object.
         """
         shared = set(self.labels) & set(other.labels)
         my_keep = [i for i, leg in enumerate(self.legs) if leg.label not in shared]
@@ -167,7 +170,7 @@ class GradedTensor:
             base = tuple(key[i] for i in my_keep)
             for rest, other_value in hits:
                 new_key = base + rest
-                term = value * other_value
+                term = other_value if value is ONE else value if other_value is ONE else value * other_value
                 prev = acc.get(new_key)
                 total = term if prev is None else prev + term
                 if total.is_zero():

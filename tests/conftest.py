@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hopfk import (
@@ -9,7 +11,7 @@ from hopfk import (
     symmetric_group,
     trivial_hom,
 )
-from hopfk.scalars import ONE
+from hopfk.scalars import ONE, Scalar
 from hopfk.tensors import GradedTensor
 
 
@@ -103,3 +105,48 @@ def contraction_log(monkeypatch):
         return result, calls
 
     return log
+
+
+# -- the unit shortcut of GradedTensor.contract ---------------------------------------
+
+
+@pytest.fixture()
+def mul_count(monkeypatch):
+    """``count(f, *args)``: ``f(*args)`` and the number of ``Scalar.__mul__``
+    calls it made."""
+
+    def count(f, *args):
+        calls = 0
+        mul = Scalar.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "__mul__", counted)
+            result = f(*args)
+        return result, calls
+
+    return count
+
+
+def _fresh_units(H):
+    """``H`` with every stored ``ONE`` replaced by a fresh ``Scalar(1)``: the
+    same values, but ``GradedTensor.contract`` multiplies by each of them."""
+
+    def fresh(t):
+        return GradedTensor(t.legs, {k: Scalar(1) if v is ONE else v for k, v in t.data.items()})
+
+    blocks = {
+        field: {key: fresh(t) for key, t in getattr(H, field).items()}
+        for field in ("mul", "unit", "delta", "antipode", "crossing")
+        if getattr(H, field) is not None
+    }
+    return replace(H, counit=fresh(H.counit), **blocks)
+
+
+@pytest.fixture(scope="session")
+def fresh_units():
+    return _fresh_units

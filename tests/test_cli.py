@@ -11,6 +11,7 @@ from hopfk.cli import main
 from hopfk.diagio import (
     DataFormatError,
     UnknownNameError,
+    _parse_scalar,
     builtin_algebra,
     builtin_group,
     builtin_hom,
@@ -22,10 +23,10 @@ from hopfk.diagio import (
     parse_hom,
     result_record,
 )
-from hopfk.groups import GroupHom
+from hopfk.groups import GroupHom, symmetric_group, trivial_hom
 from hopfk.heegaard import connected_sum, lens_diagram, mirror_diagram
 from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, validate_hopf
-from hopfk.scalars import Scalar
+from hopfk.scalars import ONE, Scalar
 
 
 # -- serialization round trips -------------------------------------------------
@@ -49,6 +50,16 @@ def test_algebra_roundtrip(kp, fs3, s3):
         assert validate_hopf(back).passed
     # The crossing is nested b, then a, in JSON and keyed (b, a) in memory.
     assert set(dump_algebra(conj)["crossing"]) == set(s3.names)
+
+
+def test_loaded_unit_entries_are_the_shared_one(mul_count):
+    assert _parse_scalar(1, "mul") is ONE and _parse_scalar("1", "mul") is ONE
+    assert _parse_scalar("2", "mul") == 2 and _parse_scalar(-1, "mul") == -ONE
+    # So GradedTensor.contract skips their products as it does for builtins.
+    H = build_function_hopf(trivial_hom(symmetric_group(4)))
+    back = parse_algebra(json.loads(json.dumps(dump_algebra(H))))
+    report, calls = mul_count(validate_hopf, back)
+    assert report.passed and calls == 0
 
 
 def test_diagram_roundtrip(z2):

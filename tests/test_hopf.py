@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from hopfk.cli import main
+from hopfk.diagio import builtin_algebra
 from hopfk.fuzz import mutate_algebra
 from hopfk.groups import GroupHom, Report, cyclic_group, symmetric_group, trivial_hom
 from hopfk.hopf import (
@@ -20,6 +21,8 @@ from hopfk.hopf import (
     dual_variants,
     identity_crossing_data,
     product_chain,
+    structure_maps,
+    total,
     validate_crossing,
     validate_hopf,
 )
@@ -454,6 +457,54 @@ def test_validators_share_the_entry_cap(kp, monkeypatch, capsys):
         validate_hopf(kp)
     assert main(["validate-algebra", "kp"]) == 1
     assert "resource error" in capsys.readouterr().err
+
+
+# -- the unit shortcut of contract -----------------------------------------------
+
+
+def test_validation_multiplies_no_unit_entry(kp, mul_count):
+    # Every structure constant of F(G) is 0 or the shared ONE, so checking
+    # it multiplies nothing; kp also stores -1, +-i, +-1/2 and +-i/2.
+    s4 = symmetric_group(4)
+    for phi in (GroupHom(s4, s4, tuple(range(s4.order))), trivial_hom(s4)):
+        report, calls = mul_count(validate_hopf, build_function_hopf(phi))
+        assert report.passed and calls == 0
+    report, calls = mul_count(validate_hopf, kp)
+    assert report.passed and calls <= 292
+
+
+def test_builtin_unit_entries_are_the_shared_one(kp, s3):
+    s4 = symmetric_group(4)
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    algebras = [kp, dual_variants(kp, "opposite"), dual_variants(kp, "coopposite"),
+                replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom)),
+                build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order))))]
+    algebras += [builtin_algebra(f"fun-{name}") for name in (
+        "sign-s3", "mod2-z4", "mod3-z6", "trivial-z1", "trivial-z2", "trivial-z3",
+        "trivial-s3", "trivial-s4")]
+    algebras += [total(H)[0] for H in algebras]
+    for H in algebras:
+        for field, key, t in structure_maps(H):
+            assert all(v is ONE for v in t.data.values() if v == ONE), (field, key)
+
+
+def test_unit_shortcut_keeps_every_violation(kp, fs3, s3, fresh_units):
+    # Differential oracle: the same checks with each ONE swapped for an
+    # equal fresh Scalar(1), which contract multiplies by.
+    rng = random.Random(15)
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    conj = replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))
+    algebras = []
+    for H in (kp, fs3, conj):
+        algebras += [H] + [mutate_algebra(H, rng)[1] for _ in range(10)]
+    for H in algebras:
+        slow = fresh_units(H)
+        assert not any(v is ONE for _, _, t in structure_maps(slow) for v in t.data.values())
+        assert validate_hopf(slow).violations == validate_hopf(H).violations
+        lemmas = [check_structural_lemmas(A, derive_integral_data(A), cyclic_bound=3)
+                  for A in (slow, H)]
+        assert lemmas[0].violations == lemmas[1].violations
+        assert validate_crossing(slow) == validate_crossing(H)
 
 
 # -- duals ------------------------------------------------------------------------

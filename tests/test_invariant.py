@@ -197,6 +197,19 @@ def test_total_algebra_sums_the_flat_bundles(kp, fs3):
             assert sum(colored, Scalar(0)) == contract_invariant(Ht, trivial)[1], D
 
 
+def test_unit_shortcut_keeps_every_answer(kp, z2, fresh_units):
+    # Differential oracle: kp with each ONE swapped for an equal fresh
+    # Scalar(1), which contract multiplies by, gives the same Z and K.
+    slow = fresh_units(kp)
+    rng = random.Random(15)
+    diagrams = [lens_diagram(p) for p in range(1, 21)]
+    diagrams += [random_diagram(rng, genus_max=2, max_crossings=6) for _ in range(20)]
+    for D in diagrams:
+        for colors in enumerate_colorings(D, z2):
+            colored = D.with_colors(z2, colors)
+            assert contract_invariant(slow, colored) == contract_invariant(kp, colored), colored
+
+
 def test_vanishing_on_empty_support(z2):
     # grading hom with an empty odd fiber: odd-colored diagrams give zero
     phi = GroupHom(cyclic_group(3), cyclic_group(2), (0, 0, 0))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hopfk.scalars import (
     I,
@@ -90,3 +90,21 @@ def test_immutability_and_hash():
         a.re = Fraction(5)
     assert hash(Scalar(1, 2)) == hash(Scalar(1, 2))
     assert len({Scalar(1), Scalar(1), Scalar(2)}) == 2
+
+
+# Few values, so that a draw often meets an equal one of another type.
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+numbers = st.one_of(
+    st.builds(Scalar, small_rationals, small_rationals),
+    st.builds(Scalar, small_rationals),
+    small_rationals,
+    st.integers(-2, 2),
+)
+
+
+@given(numbers, numbers)
+@example(Scalar(2), 2)
+@example(Fraction(1, 2), Scalar(Fraction(1, 2)))
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b) and a in {b}
