@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 from .groups import GroupHom, GroupTable, Report, cyclic_group, trivial_group, validate_hom
 from .scalars import ONE, ZERO, I, Scalar
-from .tensors import GradedTensor, Leg, contract_network
+from .tensors import GradedTensor, Leg, contract_network, projection
 
 
 class StructureError(ValueError):
@@ -194,20 +194,22 @@ def _checker(report):
     have the same open legs, and files ``message(key)`` as a violation for
     the first key, over the legs named in ``order``, where they differ.
 
-    The sides are compared in place: a key of one side is read on the
-    other, and in ``order``, through the leg labels."""
+    Sides with the same legs in the same order pass when their dicts are
+    equal, one C-level compare (which takes a shared ``ONE`` by identity).
+    Otherwise the sides are compared in place: a key of one side is read
+    on the other, and in ``order``, through the leg labels."""
 
     def check(message, order, lhs, rhs):
         left, right = (contract_network(side) for side in (lhs, rhs))
-        to_right, to_order = ([left.axis(x) for x in labels] for labels in (right.labels, order))
-        keys = [tuple(k[i] for i in to_order) for k, v in left.data.items()
-                if right.data.get(tuple(k[i] for i in to_right)) != v]
+        if left.labels == right.labels and left.data == right.data:
+            return True
+        to_right, to_order = (projection([left.axis(x) for x in labels]) for labels in (right.labels, order))
+        keys = [to_order(k) for k, v in left.data.items() if right.data.get(to_right(k)) != v]
         # Each left key not in ``keys`` is stored on the right too, so the
         # right holds keys the left lacks only if it is larger than that.
         if len(right.data) > len(left.data) - len(keys):
-            to_left, to_order = ([right.axis(x) for x in labels] for labels in (left.labels, order))
-            keys += [tuple(k[i] for i in to_order) for k in right.data
-                     if tuple(k[i] for i in to_left) not in left.data]
+            to_left, to_order = (projection([right.axis(x) for x in labels]) for labels in (left.labels, order))
+            keys += [to_order(k) for k in right.data if to_left(k) not in left.data]
         if keys:
             report.fail(message(min(keys)))
         return not keys

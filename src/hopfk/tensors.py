@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -44,8 +45,24 @@ class Leg:
     dim: int
 
 
+def projection(indices):
+    """The C-level getter ``key -> tuple(key[i] for i in indices)``.
+
+    A contiguous run, which includes one index and none, is a slice, so it
+    still returns a tuple; any other run has two or more indices, for which
+    ``itemgetter`` returns a tuple too."""
+    start = indices[0] if indices else 0
+    if list(indices) == list(range(start, start + len(indices))):
+        return itemgetter(slice(start, start + len(indices)))
+    return itemgetter(*indices)
+
+
 class GradedTensor:
-    """Dense-by-contract, sparse-by-storage multi-index array over Q(i)."""
+    """Dense-by-contract, sparse-by-storage multi-index array over Q(i).
+
+    A tensor is not mutated after construction, and it stores no zero
+    entry.  So tensors may share their ``data`` dict (``relabel`` does), and
+    ``contract`` need not test a product for zero (see there)."""
 
     def __init__(self, legs, data=None):
         self.legs = tuple(legs)
@@ -105,14 +122,7 @@ class GradedTensor:
             for leg in self.legs
         )
         out = GradedTensor(legs)
-        out.data = dict(self.data)
-        return out
-
-    def permute(self, order) -> "GradedTensor":
-        """Reorder legs; ``order`` lists old axis positions."""
-        legs = tuple(self.legs[i] for i in order)
-        out = GradedTensor(legs)
-        out.data = {tuple(key[i] for i in order): v for key, v in self.data.items()}
+        out.data = self.data
         return out
 
     # -- contraction ---------------------------------------------------------
@@ -129,6 +139,11 @@ class GradedTensor:
         with a stored ``ONE`` is the other factor, taken without a multiply
         (it still counts towards the cap); the builders and ``diagio`` store
         every unit entry as that shared object.
+
+        A product written to a key for the first time is stored untested:
+        both factors are stored entries, so nonzero, and Q(i) has no zero
+        divisors.  Only a sum onto a stored key can cancel; it is tested,
+        and a cancelled key is deleted, so the result stores no zero either.
         """
         shared = set(self.labels) & set(other.labels)
         my_keep = [i for i, leg in enumerate(self.legs) if leg.label not in shared]
@@ -145,18 +160,18 @@ class GradedTensor:
         legs = tuple(self.legs[i] for i in my_keep) + tuple(other.legs[j] for j in ot_keep)
         limit = entry_cap()
         out = GradedTensor(legs)
-        # Hash-join on the shared index values.
+        # Hash-join on the shared index values.  The two bucket keys need only
+        # agree with each other; the kept parts are concatenated, so tuples.
+        my_bucket, ot_bucket = (itemgetter(*pair) if pair else projection(pair)
+                                for pair in (my_pair, pair_ot))
+        my_part, ot_part = projection(my_keep), projection(ot_keep)
         buckets = {}
         for key, value in other.data.items():
-            pk = tuple(key[j] for j in pair_ot)
-            buckets.setdefault(pk, []).append(
-                (tuple(key[j] for j in ot_keep), value)
-            )
+            buckets.setdefault(ot_bucket(key), []).append((ot_part(key), value))
         acc = out.data
         products = 0
         for key, value in self.data.items():
-            pk = tuple(key[i] for i in my_pair)
-            hits = buckets.get(pk)
+            hits = buckets.get(my_bucket(key))
             if not hits:
                 continue
             products += len(hits)
@@ -167,14 +182,17 @@ class GradedTensor:
                     f"contraction would compute at least {products} products (cap {limit}); "
                     f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
                 )
-            base = tuple(key[i] for i in my_keep)
+            base = my_part(key)
             for rest, other_value in hits:
                 new_key = base + rest
                 term = other_value if value is ONE else value if other_value is ONE else value * other_value
                 prev = acc.get(new_key)
-                total = term if prev is None else prev + term
+                if prev is None:
+                    acc[new_key] = term
+                    continue
+                total = prev + term
                 if total.is_zero():
-                    acc.pop(new_key, None)
+                    del acc[new_key]
                 else:
                     acc[new_key] = total
         return out

@@ -107,7 +107,20 @@ def contraction_log(monkeypatch):
     return log
 
 
-# -- the unit shortcut of GradedTensor.contract ---------------------------------------
+def _permute(t, order):
+    """``t`` with its legs reordered; ``order`` lists old axis positions."""
+    return GradedTensor(
+        tuple(t.legs[i] for i in order),
+        {tuple(key[i] for i in order): v for key, v in t.data.items()},
+    )
+
+
+@pytest.fixture(scope="session")
+def permute():
+    return _permute
+
+
+# -- the unit shortcut and the zero tests of GradedTensor.contract ---------------------
 
 
 @pytest.fixture()
@@ -126,6 +139,28 @@ def mul_count(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(Scalar, "__mul__", counted)
+            result = f(*args)
+        return result, calls
+
+    return count
+
+
+@pytest.fixture()
+def is_zero_count(monkeypatch):
+    """``count(f, *args)``: ``f(*args)`` and the number of ``Scalar.is_zero``
+    calls it made."""
+
+    def count(f, *args):
+        calls = 0
+        is_zero = Scalar.is_zero
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return is_zero(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "is_zero", counted)
             result = f(*args)
         return result, calls
 

@@ -340,21 +340,25 @@ def test_trace_symmetry_randomized(kp):
 # -- iterated coproduct ---------------------------------------------------------
 
 
-def split(H, grading, x):
-    """The iterated coproduct of the vector ``x`` along ``grading``, legs 0..n-1."""
-    chain, root = coproduct_chain(H, grading, range(len(grading)), ("q",))
-    t = contract_network(chain + [GradedTensor.vector(root, x)])
-    return t.permute([t.axis(i) for i in range(len(grading))])
+@pytest.fixture()
+def split(permute):
+    def split(H, grading, x):
+        """The iterated coproduct of the vector ``x`` along ``grading``, legs 0..n-1."""
+        chain, root = coproduct_chain(H, grading, range(len(grading)), ("q",))
+        t = contract_network(chain + [GradedTensor.vector(root, x)])
+        return permute(t, [t.axis(i) for i in range(len(grading))])
+
+    return split
 
 
-def test_iterated_delta_single_is_identity(kp):
+def test_iterated_delta_single_is_identity(kp, split):
     x = (ONE, Scalar(2), ZERO, I)
     t = split(kp, (1,), x)
     assert t.labels == (0,)
     assert tuple(t.entry((i,)) for i in range(4)) == x
 
 
-def test_iterated_delta_function_algebra(fs3):
+def test_iterated_delta_function_algebra(fs3, split):
     # coproduct of a delta function over the even fiber splits over factorizations
     phi = __import__("hopfk").sign_hom_s3()
     fiber0 = phi.fiber(0)
@@ -593,13 +597,15 @@ def test_with_identity_crossing(fs3):
     assert validate_crossing(fs3).passed
 
 
-def test_checker_reads_both_leg_orders_and_keys_only_on_the_right():
+def test_checker_reads_both_leg_orders_and_keys_only_on_the_right(permute):
     left = GradedTensor((Leg("x", 2), Leg("y", 2)), {(0, 1): ONE, (1, 0): Scalar(2)})
     report = Report()
     check = _checker(report)
     message = "differ at {}".format
-    # The same tensor stored with its legs swapped.
-    assert check(message, "xy", [left], [left.permute((1, 0))])
+    # The same tensor stored with its legs swapped, or with a fresh Scalar(1)
+    # for the shared ONE.
+    assert check(message, "xy", [left], [permute(left, (1, 0))])
+    assert check(message, "xy", [left], [GradedTensor(left.legs, {(0, 1): Scalar(1), (1, 0): Scalar(2)})])
     # Stored (y, x): (1, 0) agrees, x=1 y=0 is only on the left, and the
     # first difference in x, y order, x=0 y=0, is only on the right.
     right = GradedTensor((Leg("y", 2), Leg("x", 2)), {(1, 0): ONE, (0, 0): ONE})
@@ -608,3 +614,22 @@ def test_checker_reads_both_leg_orders_and_keys_only_on_the_right():
     more = GradedTensor((Leg("y", 2), Leg("x", 2)), {(1, 0): ONE, (0, 1): Scalar(2), (1, 1): I})
     assert not check(message, "yx", [left], [more])
     assert report.violations == ["differ at (0, 0)", "differ at (1, 1)"]
+
+
+@pytest.mark.parametrize("right_data, first", [
+    ({(0, 1): ONE}, "(1, 0)"),  # a key only on the left
+    ({(0, 1): ONE, (1, 0): Scalar(2), (1, 1): I}, "(1, 1)"),  # a key only on the right
+    ({(0, 1): ONE, (1, 0): Scalar(3)}, "(1, 0)"),  # a differing value
+])
+def test_checker_same_leg_order_reports_like_the_keyed_compare(permute, right_data, first):
+    # Sides with the same leg order fail the one-dict compare and then file
+    # the violation the keyed compare files when one side's legs are swapped.
+    left = GradedTensor((Leg("x", 2), Leg("y", 2)), {(0, 1): ONE, (1, 0): Scalar(2)})
+    right = GradedTensor(left.legs, right_data)
+    message = "differ at {}".format
+    reports = []
+    for rhs in (right, permute(right, (1, 0))):
+        report = Report()
+        assert not _checker(report)(message, "xy", [left], [rhs])
+        reports.append(report.violations)
+    assert reports[0] == reports[1] == [f"differ at {first}"]

@@ -1,9 +1,12 @@
 import ast
 import functools
+import itertools
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfk
 from hopfk import tensors
@@ -11,7 +14,7 @@ from hopfk.cli import main
 from hopfk.fuzz import random_diagram
 from hopfk.heegaard import connected_sum, enumerate_colorings, lens_diagram, mirror_diagram
 from hopfk.invariant import diagram_nodes
-from hopfk.scalars import Scalar, ZERO
+from hopfk.scalars import I, ONE, Scalar, ZERO
 from hopfk.tensors import (
     DEFAULT_ENTRY_CAP,
     EntryCapExceeded,
@@ -72,11 +75,85 @@ def test_contract_dimension_mismatch():
         vec("x", [1, 2]).contract(vec("x", [1, 2, 3]))
 
 
-def test_relabel_permute():
+def test_relabel_permute(permute):
     m = matrix("r", "c", [[1, 2], [3, 4]])
-    t = m.relabel({"r": "row"}).permute([1, 0])
+    t = permute(m.relabel({"r": "row"}), [1, 0])
     assert t.labels == ("c", "row")
     assert t.entry((1, 0)) == Scalar(2)
+
+
+# -- the hash join against a dense reference ------------------------------------------
+
+# Entries from {+-1, +-i, +-1/2}, the unit both as the shared ONE and as a
+# fresh Scalar(1), so that sums cancel and both product paths run.
+ENTRY_VALUES = (ONE, Scalar(1), Scalar(-1), I, -I, Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 2)))
+
+
+@st.composite
+def join_operands(draw):
+    """Two sparse tensors over legs of dimension 1..3 that share 0, 1 or 2
+    legs, or all of them, each with its legs in a drawn order."""
+    if draw(st.booleans()):
+        shared, mine, theirs = draw(st.integers(1, 3)), 0, 0
+    else:
+        shared, mine, theirs = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    dims = {label: draw(st.integers(1, 3)) for label in
+            [("s", i) for i in range(shared)] + [("a", i) for i in range(mine)] + [("b", i) for i in range(theirs)]}
+
+    def tensor(side, count):
+        labels = draw(st.permutations([("s", i) for i in range(shared)] + [(side, i) for i in range(count)]))
+        legs = tuple(Leg(label, dims[label]) for label in labels)
+        keys = list(itertools.product(*(range(leg.dim) for leg in legs)))
+        values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
+        return GradedTensor(legs, {k: v for k, v in zip(keys, values) if v is not None})
+
+    return tensor("a", mine), tensor("b", theirs)
+
+
+def dense_contract(a, b):
+    """``a.contract(b)``'s entries, summed over every value of the shared legs."""
+    shared = [leg for leg in a.legs if leg.label in b.labels]
+    legs = [leg for leg in a.legs + b.legs if leg not in shared]
+    out = {}
+    for open_key in itertools.product(*(range(leg.dim) for leg in legs)):
+        total = ZERO
+        for shared_key in itertools.product(*(range(leg.dim) for leg in shared)):
+            at = dict(zip([leg.label for leg in legs + shared], open_key + shared_key))
+            total = total + a.entry(at[x] for x in a.labels) * b.entry(at[x] for x in b.labels)
+        out[open_key] = total
+    return tuple(legs), out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(join_operands())
+def test_contract_matches_dense_reference(operands):
+    a, b = operands
+    got = a.contract(b)
+    legs, want = dense_contract(a, b)
+    assert got.legs == legs
+    assert {k: got.entry(k) for k in want} == want
+    assert not any(v.is_zero() for v in got.data.values())
+
+
+def test_contract_tests_only_sums_for_zero(is_zero_count):
+    # An outer product writes each key once: no zero test at all.
+    x, y = vec("x", [1, 2, 3]), GradedTensor.vector("y", (ONE, I))
+    outer, calls = is_zero_count(x.contract, y)
+    assert calls == 0
+    assert outer == GradedTensor(x.legs + y.legs, {(i, j): Scalar(i + 1) * v for i in range(3) for j, v in enumerate((ONE, I))})
+    # Two terms that cancel: one sum, tested, and the key is dropped.
+    cancelled, calls = is_zero_count(vec("x", [1, 1]).contract, vec("x", [1, -1]))
+    assert calls == 1
+    assert cancelled.data == {} and cancelled.as_scalar() == ZERO
+    # A dropped key is fresh again: 1 - 1 is tested and dropped, + 1 is not tested.
+    again, calls = is_zero_count(vec("x", [1, 1, 1]).contract, matrix("x", "y", [[1], [-1], [1]]))
+    assert calls == 1
+    assert again == vec("y", [1])
+
+
+def test_relabel_shares_data():
+    m = matrix("r", "c", [[1, 2], [3, 4]])
+    assert m.relabel({"r": "row"}).data is m.data
 
 
 def test_entry_cap(monkeypatch):
