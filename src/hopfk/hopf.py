@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import types
 from dataclasses import dataclass, replace
 
 from .groups import GroupHom, GroupTable, Report, cyclic_group, trivial_group, validate_hom
@@ -64,6 +65,13 @@ class HopfPiCoalgebra:
 
     def support(self):
         return [a for a in range(self.pi.order) if self.dim[a] > 0]
+
+    @functools.cached_property
+    def integral_data(self) -> IntegralData:
+        """The trace forms and the cotrace, derived on first use and kept
+        (see ``derive_integral_data``).  ``replace`` makes a new object, which
+        derives its own."""
+        return _derive_integral_data(self)
 
 
 # -- tensor layout of the structure maps ---------------------------------------
@@ -144,7 +152,7 @@ def _direct_sum(offsets, labels, blocks) -> GradedTensor:
     for components, t in blocks:
         shift = [offsets[a] for a in components]
         data.update({tuple(i + s for i, s in zip(key, shift)): v for key, v in t.data.items()})
-    return GradedTensor([Leg(label, offsets[-1]) for label in labels], data)
+    return GradedTensor.from_stored([Leg(label, offsets[-1]) for label in labels], data)
 
 
 def total(H: HopfPiCoalgebra):
@@ -266,7 +274,7 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     for key, v in delta.data.items():
         rows.setdefault(key[0], {})[key] = v
     for x in sorted(rows):
-        row = GradedTensor(delta.legs, rows[x])
+        row = GradedTensor.from_stored(delta.legs, rows[x])
         if not check(lambda k: f"coassociativity fails at ({name(k[1])},{name(k[2])},"
                      f"{name(k[3])}) basis {local(k)[0]}", "xjkl",
                      [_at(delta, "mjk"), _at(row, "xml")], [_at(delta, "mkl"), _at(row, "xjm")]):
@@ -357,17 +365,37 @@ def coproduct_chain(H: HopfPiCoalgebra, grading, legs, tag):
 # -- integral data -------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IntegralData:
-    """Trace forms T_a and the cotrace C used by the diagram invariant."""
+    """Trace forms T_a and the cotrace C used by the diagram invariant.
 
-    trace: dict  # a -> covector on H_a
+    One object is shared by every caller on an algebra, so it is read-only:
+    ``trace`` is a read-only view of a copy of the mapping it is given, and
+    ``replace`` makes a changed copy."""
+
+    trace: types.MappingProxyType  # a -> covector on H_a
     cotrace: tuple  # vector in the identity component
+
+    def __post_init__(self):
+        object.__setattr__(self, "trace", types.MappingProxyType(dict(self.trace)))
 
 
 def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
     """T_a(x) is the trace of right multiplication by x on H_a; C is the
-    image of the trace of the identity under Delta_{1,1}."""
+    image of the trace of the identity under Delta_{1,1}.
+
+    They are properties of the algebra, so they are derived once per
+    algebra object, on the first call, and every later call returns the
+    same ``IntegralData``.  An entry equal to 1 is stored as the shared
+    ``ONE``, so the trace and cotrace nodes take ``contract``'s unit
+    shortcut too."""
+    return H.integral_data
+
+
+def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
+    def shared(entries):
+        return tuple(ONE if v == ONE else v for v in entries)
+
     pi = H.pi
     trace = {}
     for a in range(pi.order):
@@ -375,13 +403,13 @@ def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
         for (k, i, m), v in H.mul[a].data.items():
             if k == m:
                 T[i] += v
-        trace[a] = tuple(T)
+        trace[a] = shared(T)
     e = pi.identity
     C = [ZERO] * H.dim[e]
     for (i, j, k), v in H.delta[(e, e)].data.items():
         if i == j:
             C[k] += v
-    return IntegralData(trace, tuple(C))
+    return IntegralData(trace, shared(C))
 
 
 def check_structural_lemmas(

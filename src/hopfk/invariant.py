@@ -58,6 +58,10 @@ def _lower_nodes(H, integral, D, i):
 
 
 def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
+    """The nodes of D's network: the chain of each upper circle, then that
+    of each lower circle.  The trace and cotrace nodes carry the algebra's
+    ``derive_integral_data``, derived on the first diagram and shared by
+    every later one, with each entry equal to 1 the shared ``ONE``."""
     integral = derive_integral_data(H)
     nodes = []
     for k in range(D.genus):

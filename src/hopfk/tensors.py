@@ -61,8 +61,9 @@ class GradedTensor:
     """Dense-by-contract, sparse-by-storage multi-index array over Q(i).
 
     A tensor is not mutated after construction, and it stores no zero
-    entry.  So tensors may share their ``data`` dict (``relabel`` does), and
-    ``contract`` need not test a product for zero (see there)."""
+    entry.  So tensors may share their ``data`` dict (``relabel`` and
+    ``from_stored`` do), and ``contract`` need not test a product for zero
+    (see there)."""
 
     def __init__(self, legs, data=None):
         self.legs = tuple(legs)
@@ -74,6 +75,15 @@ class GradedTensor:
                     self.data[key] = value
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_stored(cls, legs, data) -> "GradedTensor":
+        """A tensor on ``legs`` that takes the dict ``data`` as it is: its
+        entries are stored entries of other tensors, so nonzero, and are not
+        tested again."""
+        out = cls(legs)
+        out.data = data
+        return out
 
     @classmethod
     def scalar(cls, value: Scalar) -> "GradedTensor":
@@ -121,9 +131,7 @@ class GradedTensor:
             Leg(mapping.get(leg.label, leg.label), leg.dim)
             for leg in self.legs
         )
-        out = GradedTensor(legs)
-        out.data = self.data
-        return out
+        return GradedTensor.from_stored(legs, self.data)
 
     # -- contraction ---------------------------------------------------------
 
@@ -137,8 +145,9 @@ class GradedTensor:
         as their count passes ``entry_cap()``; so the cap bounds both the
         time of a contraction and the entries of its result.  A product
         with a stored ``ONE`` is the other factor, taken without a multiply
-        (it still counts towards the cap); the builders and ``diagio`` store
-        every unit entry as that shared object.
+        (it still counts towards the cap); the builders, ``diagio`` and
+        ``hopf.derive_integral_data`` (for the trace and cotrace) store every
+        unit entry as that shared object.
 
         A product written to a key for the first time is stored untested:
         both factors are stored entries, so nonzero, and Q(i) has no zero

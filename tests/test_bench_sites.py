@@ -6,6 +6,9 @@ import importlib
 import runpy
 from pathlib import Path
 
+from hopfk import invariant
+from hopfk.heegaard import lens_diagram
+from hopfk.hopf import build_kac_paljutkin
 from hopfk.scalars import Scalar
 from hopfk.tensors import GradedTensor
 
@@ -21,3 +24,21 @@ def test_wrapped_sites_exist():
         assert attr in vars(GradedTensor), attr
     for attr, _ in spans["SCALAR_COUNTERS"]:
         assert attr in vars(Scalar), attr
+
+
+def test_invariant_reaches_integral_data_through_its_module(monkeypatch):
+    # The ``invariant.integral`` span wraps ``hopfk.invariant.derive_integral_data``;
+    # a call that bypasses that attribute would leave the span empty.
+    H = build_kac_paljutkin()
+    calls = []
+    derive = invariant.derive_integral_data
+
+    def counted(A):
+        calls.append(A)
+        return derive(A)
+
+    monkeypatch.setattr(invariant, "derive_integral_data", counted)
+    D = lens_diagram(2).with_colors(H.pi, (1,))
+    for _ in range(3):
+        invariant.contract_invariant(H, D)
+    assert calls == [H] * 3

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from hopfk.cli import main
-from hopfk.diagio import builtin_algebra
+from hopfk.diagio import builtin_algebra, dump_algebra, parse_algebra
 from hopfk.fuzz import mutate_algebra
 from hopfk.groups import GroupHom, Report, cyclic_group, symmetric_group, trivial_hom
 from hopfk.hopf import (
@@ -282,6 +283,36 @@ def test_fs3_integral_data(fs3):
     assert integral.cotrace == (Scalar(3), ZERO, ZERO)
 
 
+def test_integral_data_is_read_only():
+    # One IntegralData is shared by every caller on an algebra.
+    H = build_kac_paljutkin()
+    integral = derive_integral_data(H)
+    assert derive_integral_data(H) is integral
+    with pytest.raises(FrozenInstanceError):
+        integral.trace = {}
+    with pytest.raises(FrozenInstanceError):
+        integral.cotrace = ()
+    with pytest.raises(TypeError):
+        integral.trace[0] = (ZERO,) * 4
+    # A bumped copy is a new, equally read-only object; the shared one is unchanged.
+    bumped = replace(integral, trace={**integral.trace, 0: (ONE + ONE,) * 4})
+    assert bumped.trace[0] == (Scalar(2),) * 4 and integral.trace[0] == (ONE,) * 4
+    with pytest.raises(TypeError):
+        bumped.trace[0] = integral.trace[0]
+
+
+def test_replaced_algebra_derives_its_own_integral_data():
+    # The data is stored on the algebra object, so a copy with a changed
+    # product (here kp's matrix product doubled) gets a new trace, not the
+    # one already derived for kp.
+    H = build_kac_paljutkin()
+    assert derive_integral_data(H).trace[1] == (Scalar(2), ZERO, ZERO, Scalar(2))
+    t = H.mul[1]
+    doubled = replace(H, mul={**H.mul, 1: GradedTensor(t.legs, {k: v + v for k, v in t.data.items()})})
+    assert derive_integral_data(doubled).trace[1] == (Scalar(4), ZERO, ZERO, Scalar(4))
+    assert derive_integral_data(H).trace[1] == (Scalar(2), ZERO, ZERO, Scalar(2))
+
+
 def test_structural_lemmas_all_constructors():
     for H in all_constructors():
         integral = derive_integral_data(H)
@@ -478,18 +509,32 @@ def test_validation_multiplies_no_unit_entry(kp, mul_count):
 
 
 def test_builtin_unit_entries_are_the_shared_one(kp, s3):
+    # Stored structure constants, and the trace and cotrace derived from them.
     s4 = symmetric_group(4)
     idhom = GroupHom(s3, s3, tuple(range(s3.order)))
     algebras = [kp, dual_variants(kp, "opposite"), dual_variants(kp, "coopposite"),
                 replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom)),
-                build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order))))]
+                build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order)))),
+                parse_algebra(json.loads(json.dumps(dump_algebra(builtin_algebra("fun-trivial-s4")))))]
     algebras += [builtin_algebra(f"fun-{name}") for name in (
         "sign-s3", "mod2-z4", "mod3-z6", "trivial-z1", "trivial-z2", "trivial-z3",
-        "trivial-s3", "trivial-s4")]
+        "trivial-z5", "trivial-s3", "trivial-s4")]
     algebras += [total(H)[0] for H in algebras]
     for H in algebras:
         for field, key, t in structure_maps(H):
             assert all(v is ONE for v in t.data.values() if v == ONE), (field, key)
+        integral = derive_integral_data(H)
+        derived = [v for T in integral.trace.values() for v in T] + list(integral.cotrace)
+        assert ONE in derived
+        assert all(v is ONE for v in derived if v == ONE), derived
+
+
+def test_total_tests_no_stored_entry_for_zero(is_zero_count):
+    # total(H) re-files stored, so nonzero, structure constants: no zero test.
+    s4 = symmetric_group(4)
+    (Ht, offsets), calls = is_zero_count(total, build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order)))))
+    assert calls == 0
+    assert offsets[-1] == 24 and len(Ht.delta[(0, 0)].data) == 24 ** 2
 
 
 def test_unit_shortcut_keeps_every_violation(kp, fs3, s3, fresh_units):

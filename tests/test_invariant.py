@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hopfk import hopf
 from hopfk.fuzz import random_diagram, random_move_walk
 from hopfk.groups import (
     GroupHom,
@@ -26,6 +27,7 @@ from hopfk.heegaard import (
 from hopfk.homcount import LiftCountQuery, count_lifts
 from hopfk.hopf import (
     build_function_hopf,
+    build_kac_paljutkin,
     conjugation_crossing,
     dual_variants,
     total,
@@ -208,6 +210,29 @@ def test_unit_shortcut_keeps_every_answer(kp, z2, fresh_units):
         for colors in enumerate_colorings(D, z2):
             colored = D.with_colors(z2, colors)
             assert contract_invariant(slow, colored) == contract_invariant(kp, colored), colored
+
+
+def test_integral_data_is_derived_once_per_algebra(z2, monkeypatch):
+    # The trace and cotrace are properties of the algebra: many invariants
+    # on one algebra object derive them once.
+    H = build_kac_paljutkin()
+    derived = []
+    derive = hopf._derive_integral_data
+
+    def counted(A):
+        derived.append(A)
+        return derive(A)
+
+    monkeypatch.setattr(hopf, "_derive_integral_data", counted)
+    rng = random.Random(17)
+    diagrams = [lens_diagram(p) for p in range(1, 6)]
+    diagrams += [random_diagram(rng, genus_max=2, max_crossings=6) for _ in range(5)]
+    calls = 0
+    for D in diagrams:
+        for colors in enumerate_colorings(D, z2):
+            contract_invariant(H, D.with_colors(z2, colors))
+            calls += 1
+    assert calls > 10 and derived == [H]
 
 
 def test_vanishing_on_empty_support(z2):
