@@ -19,7 +19,7 @@ from .heegaard import (
     lens_diagram,
     validate_diagram,
 )
-from .hopf import LAYOUT, HopfPiCoalgebra, component_key, structure_legs, structure_maps
+from .hopf import LAYOUT, HopfPiCoalgebra, component_key, structure_legs
 from .scalars import ONE, ZERO
 from .tensors import GradedTensor
 
@@ -154,9 +154,9 @@ def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
     if not all(leg.dim for leg in legs):
         return mutate_algebra(H, rng)
     path = tuple(rng.randrange(leg.dim) for leg in legs)
-    component = next(t for f, k, t in structure_maps(H) if (f, k) == (field, key))
-    bumped = _bump(component, path)
-    mutated = bumped if key is None else {**getattr(H, field), key: bumped}
+    stored = getattr(H, field)
+    bumped = _bump(stored if key is None else stored[key], path)
+    mutated = bumped if key is None else {**stored, key: bumped}
     # Seeded campaigns key their cases by this text: a pair key is written
     # without spaces, a one-index path in brackets.
     where = "" if key is None else f"[({key[0]},{key[1]})]" if isinstance(key, tuple) else f"[{key}]"

@@ -36,11 +36,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import types
 from dataclasses import dataclass, replace
 
 from .groups import GroupHom, GroupTable, Report, cyclic_group, trivial_group, validate_hom
-from .scalars import ONE, ZERO, I, Scalar
+from .scalars import ONE, I, Scalar
 from .tensors import GradedTensor, Leg, contract_network, projection
 
 
@@ -68,9 +67,8 @@ class HopfPiCoalgebra:
 
     @functools.cached_property
     def integral_data(self) -> IntegralData:
-        """The trace forms and the cotrace, derived on first use and kept
-        (see ``derive_integral_data``).  ``replace`` makes a new object, which
-        derives its own."""
+        """``derive_integral_data(self)``, kept after its first use; a
+        ``replace``d copy is a new object, which derives its own."""
         return _derive_integral_data(self)
 
 
@@ -367,49 +365,41 @@ def coproduct_chain(H: HopfPiCoalgebra, grading, legs, tag):
 
 @dataclass(frozen=True, eq=False)
 class IntegralData:
-    """Trace forms T_a and the cotrace C used by the diagram invariant.
+    """Trace forms T_a and the cotrace C used by the diagram invariant (see
+    ``derive_integral_data``).  One object is shared by every caller on an
+    algebra, so it is read-only; ``replace`` makes a changed copy."""
 
-    One object is shared by every caller on an algebra, so it is read-only:
-    ``trace`` is a read-only view of a copy of the mapping it is given, and
-    ``replace`` makes a changed copy."""
-
-    trace: types.MappingProxyType  # a -> covector on H_a
-    cotrace: tuple  # vector in the identity component
-
-    def __post_init__(self):
-        object.__setattr__(self, "trace", types.MappingProxyType(dict(self.trace)))
+    trace: tuple  # a -> T_a, a covector on H_a with leg "in"
+    cotrace: GradedTensor  # C, a vector in H_1 with leg "out"
 
 
 def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
     """T_a(x) is the trace of right multiplication by x on H_a; C is the
     image of the trace of the identity under Delta_{1,1}.
 
-    They are properties of the algebra, so they are derived once per
-    algebra object, on the first call, and every later call returns the
-    same ``IntegralData``.  An entry equal to 1 is stored as the shared
-    ``ONE``, so the trace and cotrace nodes take ``contract``'s unit
-    shortcut too."""
+    Each is a structure tensor closed over two legs by the identity
+    matrix, contracted by the engine, and stored as the sparse tensor the
+    engine consumes: ``trace`` is indexed by group element, like
+    ``H.dim``.  They are properties of the algebra, so they are derived
+    once per algebra object, on the first call, and every later call
+    returns the same ``IntegralData``.  An entry equal to 1 is stored as
+    the shared ``ONE``, so the trace and cotrace nodes take ``contract``'s
+    unit shortcut too."""
     return H.integral_data
 
 
 def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
-    def shared(entries):
-        return tuple(ONE if v == ONE else v for v in entries)
-
-    pi = H.pi
-    trace = {}
-    for a in range(pi.order):
-        T = [ZERO] * H.dim[a]
-        for (k, i, m), v in H.mul[a].data.items():
-            if k == m:
-                T[i] += v
-        trace[a] = shared(T)
-    e = pi.identity
-    C = [ZERO] * H.dim[e]
-    for (i, j, k), v in H.delta[(e, e)].data.items():
-        if i == j:
-            C[k] += v
-    return IntegralData(trace, shared(C))
+    e = H.pi.identity
+    # Each tensor with its legs i and j closed by the identity matrix.
+    closed = [(H.mul[a], ("i", "in", "j"), H.dim[a]) for a in range(H.pi.order)]
+    closed.append((H.delta[(e, e)], ("i", "j", "out"), H.dim[e]))
+    derived = (contract_network([_at(t, labels), GradedTensor.identity("i", "j", dim)])
+               for t, labels, dim in closed)
+    *trace, cotrace = (
+        GradedTensor.from_stored(t.legs, {k: ONE if v == ONE else v for k, v in t.data.items()})
+        for t in derived
+    )
+    return IntegralData(tuple(trace), cotrace)
 
 
 def check_structural_lemmas(
@@ -422,15 +412,14 @@ def check_structural_lemmas(
     e = pi.identity
     de = H.dim[e]
     unit, eps = H.unit, H.counit
-    T = {a: GradedTensor.vector("in", integral.trace[a]) for a in range(pi.order)}
-    C = GradedTensor.vector("out", integral.cotrace)
+    T, C = integral.trace, integral.cotrace
 
     # The linear identities hold on H_tot (see ``total``), block by block,
     # with T_tot the sum of the T_a and C in the block of H_1.
     Ht, offsets = total(H)
     at = functools.partial(_basis, names, offsets)
     mul, delta, S = Ht.mul[0], Ht.delta[(0, 0)], Ht.antipode[0]
-    T_tot = _direct_sum(offsets, ("in",), [((a,), T[a]) for a in range(pi.order)])
+    T_tot = _direct_sum(offsets, ("in",), [((a,), t) for a, t in enumerate(T)])
     C_tot = _direct_sum(offsets, ("out",), [((e,), C)])
 
     # T is a two-sided pi-integral: both sides of the defining equation.

@@ -6,7 +6,8 @@ iterated coproduct of the cotrace.  ``hopf.product_chain`` and
 ``hopf.coproduct_chain`` build those chains, so a circle without
 crossings gets the unit or the counit like any empty chain.  Crossings
 pair the corresponding legs; a negative crossing's leg passes through its
-own antipode node.  The nodes are the stored structure tensors, only
+own antipode node.  The nodes are the stored structure tensors and the
+algebra's trace and cotrace (see ``hopf.derive_integral_data``), only
 relabelled, and ``contract_network`` contracts them a pair at a time, so
 memory stays proportional to the largest open frontier, not the full
 circle tensors.
@@ -19,7 +20,7 @@ import functools
 from .heegaard import Diagram, validate_diagram
 from .hopf import HopfPiCoalgebra, coproduct_chain, derive_integral_data, product_chain
 from .scalars import Scalar
-from .tensors import GradedTensor, contract_network
+from .tensors import contract_network
 
 
 def _upper_nodes(H, integral, D, k):
@@ -27,7 +28,7 @@ def _upper_nodes(H, integral, D, k):
     legs in traversal order (the unit if there are none), then the trace."""
     a = D.colors[k]
     chain, out = product_chain(H, a, [("x", c) for c in D.upper_orders[k]], ("u", k))
-    return chain + [GradedTensor.vector(out, integral.trace[a])]
+    return chain + [integral.trace[a].relabel({"in": out})]
 
 
 def _lower_nodes(H, integral, D, i):
@@ -50,7 +51,7 @@ def _lower_nodes(H, integral, D, i):
     legs = [("x", c.id) if c.sign == 1 else ("s", c.id) for c in crossings]
     chain, root = coproduct_chain(H, gradings, legs, ("d", i))
     # S maps the component graded a^-1 into the one graded a.
-    return [GradedTensor.vector(root, integral.cotrace)] + chain + [
+    return [integral.cotrace.relabel({"out": root})] + chain + [
         H.antipode[g].relabel({"in": ("s", c.id), "out": ("x", c.id)})
         for c, g in zip(crossings, gradings)
         if c.sign == -1
@@ -59,9 +60,9 @@ def _lower_nodes(H, integral, D, i):
 
 def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
     """The nodes of D's network: the chain of each upper circle, then that
-    of each lower circle.  The trace and cotrace nodes carry the algebra's
-    ``derive_integral_data``, derived on the first diagram and shared by
-    every later one, with each entry equal to 1 the shared ``ONE``."""
+    of each lower circle.  The trace and cotrace nodes relabel the
+    algebra's ``derive_integral_data``, derived on the first diagram and
+    shared by every later one."""
     integral = derive_integral_data(H)
     nodes = []
     for k in range(D.genus):

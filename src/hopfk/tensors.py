@@ -93,11 +93,6 @@ class GradedTensor:
         return t
 
     @classmethod
-    def vector(cls, label, values) -> "GradedTensor":
-        """One leg labeled ``label`` carrying the coefficient sequence ``values``."""
-        return cls((Leg(label, len(values)),), {(i,): v for i, v in enumerate(values)})
-
-    @classmethod
     def identity(cls, x, y, dim) -> "GradedTensor":
         """The identity matrix with rows on leg ``x`` and columns on leg ``y``."""
         return cls((Leg(x, dim), Leg(y, dim)), {(i, i): ONE for i in range(dim)})
@@ -146,8 +141,8 @@ class GradedTensor:
         time of a contraction and the entries of its result.  A product
         with a stored ``ONE`` is the other factor, taken without a multiply
         (it still counts towards the cap); the builders, ``diagio`` and
-        ``hopf.derive_integral_data`` (for the trace and cotrace) store every
-        unit entry as that shared object.
+        ``hopf.derive_integral_data`` store every unit entry as that shared
+        object.
 
         A product written to a key for the first time is stored untested:
         both factors are stored entries, so nonzero, and Q(i) has no zero

@@ -12,7 +12,7 @@ from hopfk import (
     trivial_hom,
 )
 from hopfk.scalars import ONE, Scalar
-from hopfk.tensors import GradedTensor
+from hopfk.tensors import GradedTensor, Leg
 
 
 @pytest.fixture(scope="session")
@@ -105,6 +105,16 @@ def contraction_log(monkeypatch):
         return result, calls
 
     return log
+
+
+def _vector(label, values):
+    """One leg labeled ``label`` carrying the coefficient sequence ``values``."""
+    return GradedTensor((Leg(label, len(values)),), {(i,): v for i, v in enumerate(values)})
+
+
+@pytest.fixture(scope="session")
+def vector():
+    return _vector
 
 
 def _permute(t, order):

@@ -26,6 +26,7 @@ from hopfk.diagio import (
 from hopfk.groups import GroupHom, symmetric_group, trivial_hom
 from hopfk.heegaard import connected_sum, lens_diagram, mirror_diagram
 from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, validate_hopf
+from hopfk.invariant import contract_invariant
 from hopfk.scalars import ONE, Scalar
 
 
@@ -233,28 +234,41 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
 
 
 def test_bad_group_tables_refused_at_load(tmp_path, kp, rp3_file, capsys):
-    # names the algebra codec cannot write back, and table entries that are
-    # not JSON integers, are refused at load, for a group file and for the
-    # group of an algebra file
+    # malformed groups, names the algebra codec cannot write back, and table
+    # entries that are not JSON integers, are refused at load, for a group
+    # file and for the group of an algebra file
     z2 = [[0, 1], [1, 0]]
     cases = [
-        (["e", "e"], z2, "group element name 'e' appears twice"),
-        (["e", "a|b"], z2, "group element name 'a|b' contains '|'"),
-        ([0, 1], z2, "group element name 0 is not a string"),
-        (["e", None], z2, "group element name None is not a string"),
-        (["e", "a"], [[0, 1], [1, 0.0]], "group mul row entry must be an integer, got 0.0"),
-        (["e", "a"], [[0, 1], [True, 0]], "group mul row entry must be an integer, got True"),
+        (42, "group must be a name or an object"),
+        ([["e", "a"], z2], "group must be a name or an object"),
+        ({"names": "ea", "mul": z2}, "group names and mul must be lists"),
+        ({"names": ["e", "a"], "mul": {"e": [0, 1], "a": [1, 0]}},
+         "group names and mul must be lists"),
+        ({"names": ["e", "a"], "mul": [[0, 1]]},
+         "invalid group table: multiplication table is not square"),
+        ({"names": ["e", "a"], "mul": [[0, 0], [0, 0]]},
+         "invalid group table: no two-sided identity element"),
+        ({"names": ["e", "a"], "mul": [[0, 1], [1, 2]]},
+         "invalid group table: table entry 2 out of range"),
+        ({"names": ["e", "e"], "mul": z2}, "group element name 'e' appears twice"),
+        ({"names": ["e", "a|b"], "mul": z2}, "group element name 'a|b' contains '|'"),
+        ({"names": [0, 1], "mul": z2}, "group element name 0 is not a string"),
+        ({"names": ["e", None], "mul": z2}, "group element name None is not a string"),
+        ({"names": ["e", "a"], "mul": [[0, 1], [1, 0.0]]},
+         "group mul row entry must be an integer, got 0.0"),
+        ({"names": ["e", "a"], "mul": [[0, 1], [True, 0]]},
+         "group mul row entry must be an integer, got True"),
     ]
-    for i, (names, mul, message) in enumerate(cases):
+    for i, (table, message) in enumerate(cases):
         with pytest.raises(DataFormatError) as exc:
-            parse_group({"names": names, "mul": mul})
+            parse_group(table)
         assert str(exc.value) == message
         group = tmp_path / f"group{i}.json"
-        group.write_text(json.dumps({"names": names, "mul": mul}))
+        group.write_text(json.dumps(table))
         assert main(["colorings", "--diagram", rp3_file, "--group", str(group)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         data = dump_algebra(kp)
-        data["group"] = {"names": names, "mul": mul}
+        data["group"] = table
         algebra = tmp_path / f"algebra{i}.json"
         algebra.write_text(json.dumps(data))
         assert main(["validate-algebra", str(algebra)]) == 2
@@ -409,6 +423,48 @@ def test_colors_given_as_non_ascii_digits_are_unknown(tmp_path, z2, capsys):
     path.write_text(json.dumps(data))
     assert main(["invariant", "--algebra", "kp", "--diagram", str(path)]) == 2
     assert capsys.readouterr().err == "error: unknown group element '\u0661'\n"
+
+
+def test_element_index_out_of_range_is_an_input_error(tmp_path, z2, rp3_file, capsys):
+    message = "group element index 2 out of range"
+    hom = {"source": "z4", "target": "z2", "image": [0, 1, 0, 2]}
+    with pytest.raises(DataFormatError) as exc:
+        parse_hom(hom)
+    assert str(exc.value) == message
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(hom))
+    assert main(["oracle-compare", "--phi", str(path), "--diagram", rp3_file]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    data = dump_diagram(lens_diagram(2).with_colors(z2, (1,)))
+    data["colors"] = [2]
+    with pytest.raises(DataFormatError) as exc:
+        parse_diagram(data, z2)
+    assert str(exc.value) == message
+    path = tmp_path / "colored.json"
+    path.write_text(json.dumps(data))
+    assert main(["invariant", "--algebra", "kp", "--diagram", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# An algebra over the trivial group whose one component, the identity one, is 0.
+ZERO_DIM_ALGEBRA = {"group": "z1", "dim": [0], "mul": {"0": []}, "unit": {"0": []},
+                    "delta": {"0|0": []}, "counit": [], "antipode": {"0": []}}
+
+
+def test_zero_dimensional_identity_component_is_refused(tmp_path, capsys):
+    H = parse_algebra(ZERO_DIM_ALGEBRA)
+    algebra = tmp_path / "zero.json"
+    algebra.write_text(json.dumps(ZERO_DIM_ALGEBRA))
+    assert main(["validate-algebra", str(algebra)]) == 1
+    out = capsys.readouterr().out
+    assert "validate_hopf: FAIL" in out and "violation: identity component has dimension 0" in out
+    D = lens_diagram(2).with_colors(H.pi, (0,))
+    with pytest.raises(ValueError, match="^identity component must have nonzero dimension$"):
+        contract_invariant(H, D)
+    diagram = tmp_path / "l2.json"
+    diagram.write_text(json.dumps(dump_diagram(D)))
+    assert main(["invariant", "--algebra", str(algebra), "--diagram", str(diagram)]) == 1
+    assert capsys.readouterr().err == "error: identity component must have nonzero dimension\n"
 
 
 @pytest.mark.parametrize("argv", [

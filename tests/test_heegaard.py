@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,28 @@ def test_malformed_diagrams_rejected():
     bad = Diagram(bad.genus, bad.crossings, bad.upper_orders, bad.lower_orders,
                   (0,), cyclic_group(2))
     assert not validate_diagram(bad).passed
+
+
+@pytest.mark.parametrize("diagram, violations", [
+    (lambda z2: Diagram(0, (), (), ()), ["genus must be positive"]),
+    (lambda z2: replace(lens_diagram(2), genus=2),
+     ["expected 2 upper and 2 lower circles, got 1 and 1"]),
+    (lambda z2: Diagram(1, (Crossing(0, 0, 0, 1), Crossing(0, 0, 0, -1)), ((0,),), ((0,),)),
+     ["duplicate crossing ids"]),
+    (lambda z2: Diagram(1, (Crossing(0, 1, 0, 1), Crossing(1, 0, -1, 1)), ((0, 1),), ((0, 1),)),
+     ["crossing 0 references upper circle 1", "crossing 1 references lower circle -1"]),
+    (lambda z2: Diagram(1, (Crossing(0, 0, 0, 1),), ((0, 7),), ((0,),)),
+     ["upper order references unknown crossing 7"]),
+    (lambda z2: Diagram(2, (Crossing(0, 0, 0, 1), Crossing(1, 1, 1, 1)),
+                        ((0,), (1,)), ((1,), (0,))),
+     ["crossing 1 listed on lower circle 0 but declares 1",
+      "crossing 0 listed on lower circle 1 but declares 0"]),
+    (lambda z2: lens_diagram(2).with_colors(z2, (2,)), ["color of upper circle 0 out of range"]),
+], ids=["genus", "circle-count", "duplicate-id", "circle-range", "unknown-crossing",
+        "wrong-circle", "color-range"])
+def test_validate_diagram_violations(z2, diagram, violations):
+    report = validate_diagram(diagram(z2))
+    assert report.violations == violations
 
 
 def test_euler_flags_overcrowded_torus():
@@ -246,6 +269,26 @@ def test_slide_errors(z2):
         apply_move(D, MoveSpec("slide", circle="upper", index=0, other=0))
     with pytest.raises(MoveError):
         apply_move(D, MoveSpec("unknown_kind"))
+
+
+@pytest.mark.parametrize("move, message", [
+    (MoveSpec("reverse", circle="middle"), "unknown circle family 'middle'"),
+    (MoveSpec("reverse", circle="lower", index=2), "no lower circle 2"),
+    (MoveSpec("two_point_insert", lower=2), "two-point move references missing circles"),
+    (MoveSpec("two_point_insert", sign=0), "two-point sign must be +-1"),
+    (MoveSpec("two_point_remove"), "two_point_remove needs the crossing pair"),
+    (MoveSpec("stabilize", sign=0), "stabilize sign must be +-1"),
+    (MoveSpec("destabilize", index=2), "no upper circle 2"),
+    (MoveSpec("destabilize", index=1), "handle upper circle is not colored by the identity"),
+    (MoveSpec("slide", index=0, other=2), "slide references missing circles"),
+], ids=["family", "reverse-missing", "insert-missing", "insert-sign", "remove-no-pair",
+        "stabilize-sign", "destabilize-missing", "destabilize-color", "slide-missing"])
+def test_move_errors(z2, move, message):
+    # The second summand is a standard handle, but colored 1, not the identity.
+    D = connected_sum(lens_diagram(2).with_colors(z2, (1,)), lens_diagram(1).with_colors(z2, (1,)))
+    with pytest.raises(MoveError) as exc:
+        apply_move(D, move)
+    assert str(exc.value) == message
 
 
 def test_moves_always_yield_valid_diagrams(z2):

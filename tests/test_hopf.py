@@ -269,21 +269,30 @@ def test_shape_check_catches_partial_crossing(kp):
 # -- integral data -----------------------------------------------------------
 
 
-def test_kp_integral_data(kp):
+def _bumped(t, i):
+    """The vector ``t`` with 1 added to its entry i."""
+    return GradedTensor(t.legs, {**t.data, (i,): t.entry((i,)) + ONE})
+
+
+def test_kp_integral_data(kp, vector):
     integral = derive_integral_data(kp)
-    assert integral.trace[0] == (ONE, ONE, ONE, ONE)
-    assert integral.trace[1] == (Scalar(2), ZERO, ZERO, Scalar(2))
-    assert integral.cotrace == (Scalar(4), ZERO, ZERO, ZERO)
+    assert integral.trace[0] == vector("in", (ONE, ONE, ONE, ONE))
+    assert integral.trace[1] == vector("in", (Scalar(2), ZERO, ZERO, Scalar(2)))
+    assert integral.cotrace == vector("out", (Scalar(4), ZERO, ZERO, ZERO))
+    assert [t.legs for t in integral.trace] == [(Leg("in", 4),)] * 2
+    assert integral.cotrace.legs == (Leg("out", 4),)
 
 
-def test_fs3_integral_data(fs3):
+def test_fs3_integral_data(fs3, vector):
     integral = derive_integral_data(fs3)
-    assert integral.trace[0] == (ONE, ONE, ONE)
-    assert integral.trace[1] == (ONE, ONE, ONE)
-    assert integral.cotrace == (Scalar(3), ZERO, ZERO)
+    assert integral.trace[0] == vector("in", (ONE, ONE, ONE))
+    assert integral.trace[1] == vector("in", (ONE, ONE, ONE))
+    assert integral.cotrace == vector("out", (Scalar(3), ZERO, ZERO))
+    assert [t.legs for t in integral.trace] == [(Leg("in", 3),)] * 2
+    assert integral.cotrace.legs == (Leg("out", 3),)
 
 
-def test_integral_data_is_read_only():
+def test_integral_data_is_read_only(vector):
     # One IntegralData is shared by every caller on an algebra.
     H = build_kac_paljutkin()
     integral = derive_integral_data(H)
@@ -293,24 +302,25 @@ def test_integral_data_is_read_only():
     with pytest.raises(FrozenInstanceError):
         integral.cotrace = ()
     with pytest.raises(TypeError):
-        integral.trace[0] = (ZERO,) * 4
+        integral.trace[0] = vector("in", (ZERO,) * 4)
     # A bumped copy is a new, equally read-only object; the shared one is unchanged.
-    bumped = replace(integral, trace={**integral.trace, 0: (ONE + ONE,) * 4})
-    assert bumped.trace[0] == (Scalar(2),) * 4 and integral.trace[0] == (ONE,) * 4
+    bumped = replace(integral, trace=(vector("in", (ONE + ONE,) * 4),) + integral.trace[1:])
+    assert bumped.trace[0] == vector("in", (Scalar(2),) * 4)
+    assert integral.trace[0] == vector("in", (ONE,) * 4)
     with pytest.raises(TypeError):
         bumped.trace[0] = integral.trace[0]
 
 
-def test_replaced_algebra_derives_its_own_integral_data():
+def test_replaced_algebra_derives_its_own_integral_data(vector):
     # The data is stored on the algebra object, so a copy with a changed
     # product (here kp's matrix product doubled) gets a new trace, not the
     # one already derived for kp.
     H = build_kac_paljutkin()
-    assert derive_integral_data(H).trace[1] == (Scalar(2), ZERO, ZERO, Scalar(2))
+    assert derive_integral_data(H).trace[1] == vector("in", (Scalar(2), ZERO, ZERO, Scalar(2)))
     t = H.mul[1]
     doubled = replace(H, mul={**H.mul, 1: GradedTensor(t.legs, {k: v + v for k, v in t.data.items()})})
-    assert derive_integral_data(doubled).trace[1] == (Scalar(4), ZERO, ZERO, Scalar(4))
-    assert derive_integral_data(H).trace[1] == (Scalar(2), ZERO, ZERO, Scalar(2))
+    assert derive_integral_data(doubled).trace[1] == vector("in", (Scalar(4), ZERO, ZERO, Scalar(4)))
+    assert derive_integral_data(H).trace[1] == vector("in", (Scalar(2), ZERO, ZERO, Scalar(2)))
 
 
 def test_structural_lemmas_all_constructors():
@@ -325,8 +335,9 @@ def test_bumped_identity_trace_is_one_violation(kp, fs3):
     for H in (kp, fs3):
         integral = derive_integral_data(H)
         e = H.pi.identity
-        T = integral.trace[e]
-        bumped = replace(integral, trace={**integral.trace, e: (T[0] + ONE,) + T[1:]})
+        trace = list(integral.trace)
+        trace[e] = _bumped(trace[e], 0)
+        bumped = replace(integral, trace=tuple(trace))
         violations = check_structural_lemmas(H, bumped, cyclic_bound=2).violations
         assert [v for v in violations if v.startswith("T(1)")] == [
             f"T(1) in H_{H.pi.names[e]} differs from dim of H at identity"
@@ -338,9 +349,9 @@ def test_cyclic_lemmas_detect_a_bumped_trace_and_cotrace(kp):
     # component, the second idempotent in the other); each breaks its
     # cyclic word on H_tot, and names it by its components
     integral = derive_integral_data(kp)
-    T1, C = integral.trace[1], integral.cotrace
-    bumped_trace = replace(integral, trace={**integral.trace, 1: (T1[0], T1[1] + ONE) + T1[2:]})
-    bumped_cotrace = replace(integral, cotrace=(C[0], C[1] + ONE) + C[2:])
+    T0, T1 = integral.trace
+    bumped_trace = replace(integral, trace=(T0, _bumped(T1, 1)))
+    bumped_cotrace = replace(integral, cotrace=_bumped(integral.cotrace, 1))
     violations = check_structural_lemmas(kp, bumped_trace, cyclic_bound=2).violations
     assert "trace product not cyclically symmetric in H_1 at (0, 1) (arity 2)" in violations
     assert not any(v.startswith("iterated coproduct of C") for v in violations)
@@ -355,7 +366,7 @@ def test_trace_symmetry_randomized(kp):
     integral = derive_integral_data(kp)
     ref = Dense(kp)
     for a in (0, 1):
-        T = integral.trace[a]
+        T = [integral.trace[a].entry((i,)) for i in range(4)]
         for _ in range(25):
             x = tuple(Scalar(rng.randint(-3, 3)) for _ in range(4))
             y = tuple(Scalar(rng.randint(-3, 3)) for _ in range(4))
@@ -364,7 +375,7 @@ def test_trace_symmetry_randomized(kp):
             t = lambda v: sum((T[i] * v[i] for i in range(4)), ZERO)
             assert t(xy) == t(yx)
             sx = ref.antipode(a, x)
-            Ti = integral.trace[kp.pi.inverse[a]]
+            Ti = [integral.trace[kp.pi.inverse[a]].entry((i,)) for i in range(4)]
             assert sum((Ti[i] * sx[i] for i in range(4)), ZERO) == t(x)
 
 
@@ -372,11 +383,11 @@ def test_trace_symmetry_randomized(kp):
 
 
 @pytest.fixture()
-def split(permute):
+def split(permute, vector):
     def split(H, grading, x):
         """The iterated coproduct of the vector ``x`` along ``grading``, legs 0..n-1."""
         chain, root = coproduct_chain(H, grading, range(len(grading)), ("q",))
-        t = contract_network(chain + [GradedTensor.vector(root, x)])
+        t = contract_network(chain + [vector(root, x)])
         return permute(t, [t.axis(i) for i in range(len(grading))])
 
     return split
@@ -524,7 +535,7 @@ def test_builtin_unit_entries_are_the_shared_one(kp, s3):
         for field, key, t in structure_maps(H):
             assert all(v is ONE for v in t.data.values() if v == ONE), (field, key)
         integral = derive_integral_data(H)
-        derived = [v for T in integral.trace.values() for v in T] + list(integral.cotrace)
+        derived = [v for t in (*integral.trace, integral.cotrace) for v in t.data.values()]
         assert ONE in derived
         assert all(v is ONE for v in derived if v == ONE), derived
 

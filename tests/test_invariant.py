@@ -235,6 +235,24 @@ def test_integral_data_is_derived_once_per_algebra(z2, monkeypatch):
     assert calls > 10 and derived == [H]
 
 
+def test_diagram_nodes_relabel_the_stored_tensors(kp, fs3, z2, is_zero_count):
+    # Every node, the trace and cotrace included, shares the entries of a
+    # stored tensor, so once the algebra's data is derived, building a
+    # network tests no entry for zero.
+    rng = random.Random(19)
+    diagrams = [connected_sum(lens_diagram(2), mirror_diagram(lens_diagram(3)))]
+    diagrams += [random_diagram(rng, genus_max=3, max_crossings=8) for _ in range(5)]
+    for H in (kp, fs3):
+        integral = hopf.derive_integral_data(H)
+        stored = {id(t.data) for t in (*integral.trace, integral.cotrace)}
+        for D in diagrams:
+            for colors in enumerate_colorings(D, z2):
+                nodes, calls = is_zero_count(diagram_nodes, H, D.with_colors(z2, colors))
+                assert calls == 0
+                shared = [n for n in nodes if id(n.data) in stored]
+                assert len(shared) == 2 * D.genus
+
+
 def test_vanishing_on_empty_support(z2):
     # grading hom with an empty odd fiber: odd-colored diagrams give zero
     phi = GroupHom(cyclic_group(3), cyclic_group(2), (0, 0, 0))

@@ -135,9 +135,9 @@ def test_contract_matches_dense_reference(operands):
     assert not any(v.is_zero() for v in got.data.values())
 
 
-def test_contract_tests_only_sums_for_zero(is_zero_count):
+def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
     # An outer product writes each key once: no zero test at all.
-    x, y = vec("x", [1, 2, 3]), GradedTensor.vector("y", (ONE, I))
+    x, y = vec("x", [1, 2, 3]), vector("y", (ONE, I))
     outer, calls = is_zero_count(x.contract, y)
     assert calls == 0
     assert outer == GradedTensor(x.legs + y.legs, {(i, j): Scalar(i + 1) * v for i in range(3) for j, v in enumerate((ONE, I))})
