@@ -382,9 +382,8 @@ def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
     engine consumes: ``trace`` is indexed by group element, like
     ``H.dim``.  They are properties of the algebra, so they are derived
     once per algebra object, on the first call, and every later call
-    returns the same ``IntegralData``.  An entry equal to 1 is stored as
-    the shared ``ONE``, so the trace and cotrace nodes take ``contract``'s
-    unit shortcut too."""
+    returns the same ``IntegralData``.  Each is rebuilt from its entries,
+    so an entry equal to 1 is the shared ``ONE`` (see ``GradedTensor``)."""
     return H.integral_data
 
 
@@ -395,10 +394,7 @@ def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
     closed.append((H.delta[(e, e)], ("i", "j", "out"), H.dim[e]))
     derived = (contract_network([_at(t, labels), GradedTensor.identity("i", "j", dim)])
                for t, labels, dim in closed)
-    *trace, cotrace = (
-        GradedTensor.from_stored(t.legs, {k: ONE if v == ONE else v for k, v in t.data.items()})
-        for t in derived
-    )
+    *trace, cotrace = (GradedTensor(t.legs, t.data) for t in derived)
     return IntegralData(tuple(trace), cotrace)
 
 

@@ -15,8 +15,6 @@ circle tensors.
 
 from __future__ import annotations
 
-import functools
-
 from .heegaard import Diagram, validate_diagram
 from .hopf import HopfPiCoalgebra, coproduct_chain, derive_integral_data, product_chain
 from .scalars import Scalar
@@ -43,11 +41,6 @@ def _lower_nodes(H, integral, D, i):
         D.colors[c.upper] if c.sign == 1 else pi.inverse[D.colors[c.upper]]
         for c in crossings
     ]
-    if functools.reduce(lambda x, g: pi.mul[x][g], gradings, pi.identity) != pi.identity:
-        raise ValueError(
-            f"lower circle {i} grading product is not the identity; "
-            "diagram colors are inconsistent"
-        )
     legs = [("x", c.id) if c.sign == 1 else ("s", c.id) for c in crossings]
     chain, root = coproduct_chain(H, gradings, legs, ("d", i))
     # S maps the component graded a^-1 into the one graded a.
@@ -60,9 +53,11 @@ def _lower_nodes(H, integral, D, i):
 
 def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
     """The nodes of D's network: the chain of each upper circle, then that
-    of each lower circle.  The trace and cotrace nodes relabel the
-    algebra's ``derive_integral_data``, derived on the first diagram and
-    shared by every later one."""
+    of each lower circle.  D must be colored and pass ``validate_diagram``,
+    whose color condition makes each lower circle's gradings multiply to
+    the identity.  The trace and cotrace nodes relabel the algebra's
+    ``derive_integral_data``, derived on the first diagram and shared by
+    every later one."""
     integral = derive_integral_data(H)
     nodes = []
     for k in range(D.genus):

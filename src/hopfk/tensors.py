@@ -60,10 +60,12 @@ def projection(indices):
 class GradedTensor:
     """Dense-by-contract, sparse-by-storage multi-index array over Q(i).
 
-    A tensor is not mutated after construction, and it stores no zero
-    entry.  So tensors may share their ``data`` dict (``relabel`` and
-    ``from_stored`` do), and ``contract`` need not test a product for zero
-    (see there)."""
+    A tensor is not mutated after construction.  One built from given
+    entries stores no zero, and stores each entry equal to 1 as the shared
+    ``ONE``, so ``contract`` takes its products without a multiply.
+    ``from_stored`` and ``relabel`` take entries that are already stored,
+    and share their ``data`` dict.  ``contract`` stores its products as
+    computed (see there)."""
 
     def __init__(self, legs, data=None):
         self.legs = tuple(legs)
@@ -72,7 +74,7 @@ class GradedTensor:
         if data:
             for key, value in data.items():
                 if not value.is_zero():
-                    self.data[key] = value
+                    self.data[key] = ONE if value == ONE else value
 
     # -- constructors ------------------------------------------------------
 
@@ -84,13 +86,6 @@ class GradedTensor:
         out = cls(legs)
         out.data = data
         return out
-
-    @classmethod
-    def scalar(cls, value: Scalar) -> "GradedTensor":
-        t = cls(())
-        if not value.is_zero():
-            t.data[()] = value
-        return t
 
     @classmethod
     def identity(cls, x, y, dim) -> "GradedTensor":
@@ -140,9 +135,8 @@ class GradedTensor:
         as their count passes ``entry_cap()``; so the cap bounds both the
         time of a contraction and the entries of its result.  A product
         with a stored ``ONE`` is the other factor, taken without a multiply
-        (it still counts towards the cap); the builders, ``diagio`` and
-        ``hopf.derive_integral_data`` store every unit entry as that shared
-        object.
+        (it still counts towards the cap).  A product equal to 1, such as
+        I * -I, is stored as computed, not as ``ONE``.
 
         A product written to a key for the first time is stored untested:
         both factors are stored entries, so nonzero, and Q(i) has no zero
@@ -206,7 +200,7 @@ class GradedTensor:
     def __eq__(self, other):
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        return self.labels == other.labels and self.data == other.data
+        return self.legs == other.legs and self.data == other.data
 
     def __repr__(self):
         return f"GradedTensor(legs={self.labels}, nnz={len(self.data)})"
@@ -236,7 +230,7 @@ def contract_network(nodes) -> GradedTensor:
     pool = list(nodes)
     if len(pool) > 2:
         pool = _contract_greedy(pool)
-    result = pool[0] if pool else GradedTensor.scalar(ONE)
+    result = pool[0] if pool else GradedTensor((), {(): ONE})
     for t in pool[1:]:
         result = result.contract(t)
     return result

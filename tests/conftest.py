@@ -75,7 +75,7 @@ def _scan_network(nodes, pick=min):
         merged = pool[a].contract(pool[b])
         pool = [t for i, t in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
-    result = pool[0] if pool else GradedTensor.scalar(ONE)
+    result = pool[0] if pool else GradedTensor((), {(): ONE})
     for t in pool[1:]:
         result = result.contract(t)
     return result
@@ -179,10 +179,12 @@ def is_zero_count(monkeypatch):
 
 def _fresh_units(H):
     """``H`` with every stored ``ONE`` replaced by a fresh ``Scalar(1)``: the
-    same values, but ``GradedTensor.contract`` multiplies by each of them."""
+    same values, but ``GradedTensor.contract`` multiplies by each of them.
+    The copies are built with ``from_stored``; the constructor would store
+    each fresh ``Scalar(1)`` as ``ONE`` again."""
 
     def fresh(t):
-        return GradedTensor(t.legs, {k: Scalar(1) if v is ONE else v for k, v in t.data.items()})
+        return GradedTensor.from_stored(t.legs, {k: Scalar(1) if v is ONE else v for k, v in t.data.items()})
 
     blocks = {
         field: {key: fresh(t) for key, t in getattr(H, field).items()}

@@ -25,7 +25,7 @@ from hopfk.diagio import (
 )
 from hopfk.groups import GroupHom, symmetric_group, trivial_hom
 from hopfk.heegaard import connected_sum, lens_diagram, mirror_diagram
-from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, validate_hopf
+from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, structure_maps, validate_hopf
 from hopfk.invariant import contract_invariant
 from hopfk.scalars import ONE, Scalar
 
@@ -54,7 +54,12 @@ def test_algebra_roundtrip(kp, fs3, s3):
 
 
 def test_loaded_unit_entries_are_the_shared_one(mul_count):
-    assert _parse_scalar(1, "mul") is ONE and _parse_scalar("1", "mul") is ONE
+    # Entries 1 given as the string "1" (as dumped) and as the integer 1.
+    text = dump_algebra(builtin_algebra("kp"))
+    ints = dict(text, mul={a: json.loads(json.dumps(m).replace('"1"', "1")) for a, m in text["mul"].items()})
+    for loaded in (parse_algebra(text), parse_algebra(ints)):
+        stored = [v for _, _, t in structure_maps(loaded) for v in t.data.values()]
+        assert ONE in stored and all(v is ONE for v in stored if v == ONE)
     assert _parse_scalar("2", "mul") == 2 and _parse_scalar(-1, "mul") == -ONE
     # So GradedTensor.contract skips their products as it does for builtins.
     H = build_function_hopf(trivial_hom(symmetric_group(4)))
@@ -231,6 +236,29 @@ def test_cli_malformed_algebra_blocks(tmp_path, kp, capsys):
         path.write_text(json.dumps(data))
         assert main(["validate-algebra", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_malformed_algebra_and_hom_objects(tmp_path, kp, rp3_file, capsys):
+    short = dump_algebra(kp)
+    short["mul"]["0"] = short["mul"]["0"][:3]
+    with pytest.raises(DataFormatError, match=r"^mul\[0\] shape mismatch$"):
+        parse_algebra(short)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(short))
+    assert main(["validate-algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "error: mul[0] shape mismatch\n"
+    with pytest.raises(DataFormatError, match="^bad algebra object: 'dim'$"):
+        parse_algebra({"group": "z2"})
+    with pytest.raises(DataFormatError, match="^bad homomorphism object: 'target'$"):
+        parse_hom({"source": "z2"})
+    with pytest.raises(DataFormatError, match="^not a homomorphism: image list has length 1, expected 2$"):
+        parse_hom({"source": "z2", "target": "z2", "image": ["0"]})
+    path = tmp_path / "short-hom.json"
+    path.write_text(json.dumps({"source": "z2", "target": "z2", "image": ["0"]}))
+    assert main(["oracle-compare", "--phi", str(path), "--diagram", rp3_file]) == 2
+    assert capsys.readouterr().err == "error: not a homomorphism: image list has length 1, expected 2\n"
+    with pytest.raises(DataFormatError, match="^not a homomorphism: identity is not mapped to identity"):
+        parse_hom({"source": "z2", "target": "z2", "image": ["1", "1"]})
 
 
 def test_bad_group_tables_refused_at_load(tmp_path, kp, rp3_file, capsys):

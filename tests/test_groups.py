@@ -121,3 +121,17 @@ def test_invalid_hom_detected():
     report = validate_hom(GroupHom(s3, z2, tuple(image)))
     assert not report.passed
     assert any("multiplicativity" in v for v in report.violations)
+
+
+def test_hom_image_out_of_range_is_reported():
+    z2 = cyclic_group(2)
+    report = validate_hom(GroupHom(z2, z2, (0, 5)))
+    assert report.violations == ["image value 5 out of range for target group"]
+
+
+def test_word_errors():
+    z2 = cyclic_group(2)
+    with pytest.raises(IndexError, match="^word uses generator x3 beyond assignment$"):
+        evaluate_word(Word(((0, 1), (2, 1))), (1, 0), z2)
+    with pytest.raises(ValueError, match=r"^letter exponent must be \+-1, got 2$"):
+        evaluate_word(Word(((0, 2),)), (1,), z2)

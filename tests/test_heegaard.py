@@ -135,6 +135,12 @@ def test_connected_sum_words(z2):
         connected_sum(lens_diagram(1), lens_diagram(1).with_colors(z2, (0,)))
 
 
+def test_connected_sum_refuses_two_coloring_groups(z2):
+    z3 = cyclic_group(3)
+    with pytest.raises(ValueError, match="^colored summands must share the coloring group$"):
+        connected_sum(lens_diagram(2).with_colors(z2, (1,)), lens_diagram(3).with_colors(z3, (1,)))
+
+
 def test_mirror(z2):
     D = lens_diagram(3).with_colors(z2, (0,))
     M = mirror_diagram(D)

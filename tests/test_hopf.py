@@ -10,6 +10,7 @@ from hopfk.diagio import builtin_algebra, dump_algebra, parse_algebra
 from hopfk.fuzz import mutate_algebra
 from hopfk.groups import GroupHom, Report, cyclic_group, symmetric_group, trivial_hom
 from hopfk.hopf import (
+    HopfPiCoalgebra,
     StructureError,
     _checker,
     build_function_hopf,
@@ -23,6 +24,7 @@ from hopfk.hopf import (
     identity_crossing_data,
     product_chain,
     structure_maps,
+    structure_tensor,
     total,
     validate_crossing,
     validate_hopf,
@@ -330,6 +332,26 @@ def test_structural_lemmas_all_constructors():
         assert report.passed, report.violations[:3]
 
 
+def test_lemmas_file_a_component_dimension_unlike_the_identity_one():
+    # Z/2 with dim (1, 2): the pointwise algebra in each component, every
+    # coproduct zero and every antipode the identity.
+    z2, dim = cyclic_group(2), (1, 2)
+
+    def tensor(field, key, data):
+        return structure_tensor(z2, dim, field, key, data)
+
+    H = HopfPiCoalgebra(
+        z2, dim,
+        mul={a: tensor("mul", a, {(i, i, i): ONE for i in range(dim[a])}) for a in range(2)},
+        unit={a: tensor("unit", a, {(i,): ONE for i in range(dim[a])}) for a in range(2)},
+        delta={(a, b): tensor("delta", (a, b), {}) for a in range(2) for b in range(2)},
+        counit=tensor("counit", None, {(0,): ONE}),
+        antipode={a: tensor("antipode", a, {(i, i): ONE for i in range(dim[a])}) for a in range(2)},
+    )
+    violations = check_structural_lemmas(H, derive_integral_data(H), cyclic_bound=2).violations
+    assert "dim H_1 = 2 differs from identity component dimension 1" in violations
+
+
 def test_bumped_identity_trace_is_one_violation(kp, fs3):
     # T(1) on H_1 is checked once, by the loop over the support
     for H in (kp, fs3):
@@ -526,7 +548,11 @@ def test_builtin_unit_entries_are_the_shared_one(kp, s3):
     algebras = [kp, dual_variants(kp, "opposite"), dual_variants(kp, "coopposite"),
                 replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom)),
                 build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order)))),
-                parse_algebra(json.loads(json.dumps(dump_algebra(builtin_algebra("fun-trivial-s4")))))]
+                parse_algebra(json.loads(json.dumps(dump_algebra(builtin_algebra("fun-trivial-s4"))))),
+                parse_algebra(json.loads(json.dumps(dump_algebra(kp))))]
+    # A mutant's bumped entry is a sum, 0 + 1 among them.
+    rng = random.Random(19)
+    algebras += [mutate_algebra(kp, rng)[1] for _ in range(10)]
     algebras += [builtin_algebra(f"fun-{name}") for name in (
         "sign-s3", "mod2-z4", "mod3-z6", "trivial-z1", "trivial-z2", "trivial-z3",
         "trivial-z5", "trivial-s3", "trivial-s4")]
@@ -661,7 +687,7 @@ def test_checker_reads_both_leg_orders_and_keys_only_on_the_right(permute):
     # The same tensor stored with its legs swapped, or with a fresh Scalar(1)
     # for the shared ONE.
     assert check(message, "xy", [left], [permute(left, (1, 0))])
-    assert check(message, "xy", [left], [GradedTensor(left.legs, {(0, 1): Scalar(1), (1, 0): Scalar(2)})])
+    assert check(message, "xy", [left], [GradedTensor.from_stored(left.legs, {(0, 1): Scalar(1), (1, 0): Scalar(2)})])
     # Stored (y, x): (1, 0) agrees, x=1 y=0 is only on the left, and the
     # first difference in x, y order, x=0 y=0, is only on the right.
     right = GradedTensor((Leg("y", 2), Leg("x", 2)), {(1, 0): ONE, (0, 0): ONE})

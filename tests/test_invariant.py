@@ -116,7 +116,7 @@ def test_requires_colors(kp):
 
 def test_rejects_invalid_coloring(kp, z2):
     D = lens_diagram(3).with_colors(z2, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid diagram: color condition fails on lower circle 0"):
         contract_invariant(kp, D)
 
 

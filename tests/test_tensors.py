@@ -50,10 +50,29 @@ def test_zero_entries_not_stored():
 
 
 def test_scalar_tensor():
-    assert GradedTensor.scalar(Scalar(5)).as_scalar() == Scalar(5)
-    assert GradedTensor.scalar(ZERO).as_scalar() == ZERO
+    assert GradedTensor((), {(): Scalar(5)}).as_scalar() == Scalar(5)
+    assert GradedTensor((), {(): ZERO}).as_scalar() == ZERO
     with pytest.raises(ValueError):
         vec("a", [1]).as_scalar()
+
+
+def test_given_unit_entries_are_stored_as_the_shared_one():
+    legs = (Leg("a", 3),)
+    t = GradedTensor(legs, {(0,): Scalar(1), (1,): I * -I, (2,): -ONE})
+    assert t.data[(0,)] is ONE and t.data[(1,)] is ONE
+    assert t.data[(2,)] == -ONE
+    # Stored entries are taken as they are: a computed product equal to 1 stays.
+    product = GradedTensor(legs, {(0,): I}).contract(GradedTensor((Leg("b", 1),), {(0,): -I}))
+    assert product.data[(0, 0)] == ONE and product.data[(0, 0)] is not ONE
+    assert GradedTensor.from_stored(legs, {(0,): Scalar(1)}).data[(0,)] is not ONE
+
+
+def test_equality_compares_legs_and_entries():
+    assert GradedTensor((Leg("a", 3),), {}) != GradedTensor((Leg("a", 4),), {})
+    assert GradedTensor((Leg("a", 3),), {}) == GradedTensor((Leg("a", 3),), {})
+    assert vec("a", [1, 2]) != vec("b", [1, 2])
+    assert vec("a", [1, 2]) != vec("a", [1, 3])
+    assert (GradedTensor((), {(): Scalar(3)}) == 3) is False
 
 
 def test_contract_inner_product():
@@ -105,7 +124,8 @@ def join_operands(draw):
         legs = tuple(Leg(label, dims[label]) for label in labels)
         keys = list(itertools.product(*(range(leg.dim) for leg in legs)))
         values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
-        return GradedTensor(legs, {k: v for k, v in zip(keys, values) if v is not None})
+        # from_stored keeps a fresh Scalar(1), which the constructor would store as ONE.
+        return GradedTensor.from_stored(legs, {k: v for k, v in zip(keys, values) if v is not None})
 
     return tensor("a", mine), tensor("b", theirs)
 
@@ -219,7 +239,7 @@ def test_entry_cap_must_be_positive(monkeypatch):
 
 def test_network_multiplies_components():
     n1 = [vec("x", [1, 2]), vec("x", [1, 1])]  # 3
-    n2 = [GradedTensor.scalar(Scalar(7))]
+    n2 = [GradedTensor((), {(): Scalar(7)})]
     assert contract_network(n1 + n2).as_scalar() == Scalar(21)
 
 
