@@ -22,13 +22,13 @@ The key of an entry lists its indices in leg order, so ``t.entry(key)``
 is the coefficient the dense JSON format (docs/formats.md) writes at the
 same nested position; ``diagio`` converts between the two.
 
-``total`` adds the components up to the total algebra H_tot, an ordinary
-Hopf algebra, and the validators check each identity once there: a graded
-identity is one block of the matching identity of H_tot.  That holds for
-every axiom, coassociativity included (checked one basis vector of H_tot
-at a time), and for the integral identities and the cyclic lemmas.  A
-crossing is an action of pi on H_tot by Hopf automorphisms phi_b sending
-H_a to H_{bab^-1}, and is checked as such.
+``HopfPiCoalgebra.total`` adds the components up to the total algebra
+H_tot, an ordinary Hopf algebra, and the validators check each identity
+once there: a graded identity is one block of the matching identity of
+H_tot.  That holds for every axiom, coassociativity included (checked
+one basis vector of H_tot at a time), and for the integral identities
+and the cyclic lemmas.  A crossing is an action of pi on H_tot by Hopf
+automorphisms phi_b sending H_a to H_{bab^-1}, and is checked as such.
 """
 
 from __future__ import annotations
@@ -70,6 +70,22 @@ class HopfPiCoalgebra:
         """``derive_integral_data(self)``, kept after its first use; a
         ``replace``d copy is a new object, which derives its own."""
         return _derive_integral_data(self)
+
+    @functools.cached_property
+    def total(self):
+        """H_tot, the sum of the H_a, over the trivial group, and the offsets:
+        H_a is spanned by basis vectors offsets[a] to offsets[a + 1] - 1.  The
+        product is block-diagonal, the unit and Delta are the sums of the
+        graded ones, eps is eps on H_1 and S is the sum of the S_a.  Derived
+        once, like ``integral_data``; a failed ``check_shapes`` raises on every read."""
+        check_shapes(self)
+        offsets = tuple(itertools.accumulate(self.dim, initial=0))
+        blocks = {}
+        for field, key, t in structure_maps(replace(self, crossing=None)):
+            blocks.setdefault(field, []).append((LAYOUT[field][2](self.pi, key), t))
+        tot = {field: _direct_sum(offsets, LAYOUT[field][0], b) for field, b in blocks.items()}
+        return HopfPiCoalgebra(trivial_group(), (offsets[-1],), {0: tot["mul"]}, {0: tot["unit"]},
+                               {(0, 0): tot["delta"]}, tot["counit"], {0: tot["antipode"]}), offsets
 
 
 # -- tensor layout of the structure maps ---------------------------------------
@@ -153,22 +169,6 @@ def _direct_sum(offsets, labels, blocks) -> GradedTensor:
     return GradedTensor.from_stored([Leg(label, offsets[-1]) for label in labels], data)
 
 
-def total(H: HopfPiCoalgebra):
-    """H_tot, the sum of the H_a, over the trivial group, and the offsets:
-    H_a is spanned by basis vectors offsets[a] to offsets[a + 1] - 1.  The
-    product is block-diagonal, the unit and Delta are the sums of the
-    graded ones, eps is eps on H_1 and S is the sum of the S_a."""
-    check_shapes(H)
-    offsets = tuple(itertools.accumulate(H.dim, initial=0))
-    blocks = {}
-    for field, key, t in structure_maps(replace(H, crossing=None)):
-        blocks.setdefault(field, []).append((LAYOUT[field][2](H.pi, key), t))
-    tot = {field: _direct_sum(offsets, LAYOUT[field][0], b) for field, b in blocks.items()}
-    Htot = HopfPiCoalgebra(trivial_group(), (offsets[-1],), {0: tot["mul"]}, {0: tot["unit"]},
-                           {(0, 0): tot["delta"]}, tot["counit"], {0: tot["antipode"]})
-    return Htot, offsets
-
-
 def _locate(offsets, key):
     """The components of the basis vectors ``key`` of H_tot, and their
     indices there."""
@@ -200,25 +200,23 @@ def _checker(report):
     have the same open legs, and files ``message(key)`` as a violation for
     the first key, over the legs named in ``order``, where they differ.
 
-    Sides with the same legs in the same order pass when their dicts are
-    equal, one C-level compare (which takes a shared ``ONE`` by identity).
-    Otherwise the sides are compared in place: a key of one side is read
-    on the other, and in ``order``, through the leg labels."""
+    There is one path.  Each right key is read in the left side's leg order
+    through one projection, and the left's values at those keys are
+    compared with the right's in one C-level list compare (which takes a
+    shared ``ONE`` by identity); no re-keyed copy of the right is built, as
+    it may share its dict with the left.  Only a failing check builds one."""
 
     def check(message, order, lhs, rhs):
         left, right = (contract_network(side) for side in (lhs, rhs))
-        if left.labels == right.labels and left.data == right.data:
+        ldata, rdata = left.data, right.data
+        to_left = projection([right.axis(x) for x in left.labels])
+        if len(ldata) == len(rdata) and [*map(ldata.get, map(to_left, rdata))] == [*rdata.values()]:
             return True
-        to_right, to_order = (projection([left.axis(x) for x in labels]) for labels in (right.labels, order))
-        keys = [to_order(k) for k, v in left.data.items() if right.data.get(to_right(k)) != v]
-        # Each left key not in ``keys`` is stored on the right too, so the
-        # right holds keys the left lacks only if it is larger than that.
-        if len(right.data) > len(left.data) - len(keys):
-            to_left, to_order = (projection([right.axis(x) for x in labels]) for labels in (left.labels, order))
-            keys += [to_order(k) for k in right.data if to_left(k) not in left.data]
-        if keys:
-            report.fail(message(min(keys)))
-        return not keys
+        rdata = dict(zip(map(to_left, rdata), rdata.values()))
+        to_order = projection([left.axis(x) for x in order])
+        report.fail(message(min(to_order(k) for k in ldata.keys() | rdata.keys()
+                                if ldata.get(k) != rdata.get(k))))
+        return False
 
     return check
 
@@ -235,13 +233,13 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
 
     Each identity is a pair of networks of relabelled structure tensors,
     one letter per leg, that must agree on their open legs.  Each is
-    checked once on H_tot (see ``total``): each graded identity is one
+    checked once on H_tot (see ``H.total``): each graded identity is one
     block of the matching identity of H_tot, and a violation names the
     components of its first differing entry.  That the support is a
     subgroup follows: Delta_{a,b}(1_ab) = 1_a (x) 1_b is nonzero when H_a
     and H_b are, and a finite set closed under products is a subgroup.
     """
-    Ht, offsets = total(H)
+    Ht, offsets = H.total
     report = Report()
     check = _checker(report)
     pi, names = H.pi, H.pi.names
@@ -410,9 +408,9 @@ def check_structural_lemmas(
     unit, eps = H.unit, H.counit
     T, C = integral.trace, integral.cotrace
 
-    # The linear identities hold on H_tot (see ``total``), block by block,
+    # The linear identities hold on H_tot (see ``H.total``), block by block,
     # with T_tot the sum of the T_a and C in the block of H_1.
-    Ht, offsets = total(H)
+    Ht, offsets = H.total
     at = functools.partial(_basis, names, offsets)
     mul, delta, S = Ht.mul[0], Ht.delta[(0, 0)], Ht.antipode[0]
     T_tot = _direct_sum(offsets, ("in",), [((a,), t) for a, t in enumerate(T)])
@@ -631,7 +629,7 @@ def dual_variants(H: HopfPiCoalgebra, kind: str) -> HopfPiCoalgebra:
 
 def validate_crossing(H: HopfPiCoalgebra) -> Report:
     """Check the optional crossing as an action of pi on H_tot (see
-    ``total``): each phi_b preserves the unit, the product, S, eps and
+    ``H.total``): each phi_b preserves the unit, the product, S, eps and
     Delta; phi_{b1} phi_{b2} = phi_{b1 b2}; and phi_1 = id.  Given the
     second, the third holds exactly when every phi_b is invertible, with
     inverse phi_{b^-1}."""
@@ -639,7 +637,7 @@ def validate_crossing(H: HopfPiCoalgebra) -> Report:
     if H.crossing is None:
         report.warn("crossing data not provided")
         return report
-    Ht, offsets = total(H)
+    Ht, offsets = H.total
     check = _checker(report)
     pi, names = H.pi, H.pi.names
     at = functools.partial(_basis, names, offsets)

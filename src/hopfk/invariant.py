@@ -68,10 +68,12 @@ def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
 
 
 def contract_invariant(H: HopfPiCoalgebra, D: Diagram):
-    """Return (Z, K) for a colored diagram; K = Z / (dim H_1)^genus.  Z is
-    the value of the closed network ``diagram_nodes(H, D)``, in any order."""
+    """Return (Z, K) for a diagram colored over ``H.pi``; K = Z / (dim H_1)^genus.
+    Z is the value of the closed network ``diagram_nodes(H, D)``, in any order."""
     if not D.colored:
         raise ValueError("diagram must be colored")
+    if D.pi is not H.pi and D.pi != H.pi:
+        raise ValueError("diagram must be colored over the algebra's group")
     if H.dim_identity == 0:
         raise ValueError("identity component must have nonzero dimension")
     report = validate_diagram(D)

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from hopfk import hopf
 from hopfk.cli import main
 from hopfk.diagio import builtin_algebra, dump_algebra, parse_algebra
 from hopfk.fuzz import mutate_algebra
@@ -25,7 +26,6 @@ from hopfk.hopf import (
     product_chain,
     structure_maps,
     structure_tensor,
-    total,
     validate_crossing,
     validate_hopf,
 )
@@ -243,14 +243,25 @@ def test_empty_components_allowed():
     assert H.support() == [0]
 
 
+def _validators_refuse(bad, integral):
+    """Each validator raises StructureError on ``bad``, twice in a row: a
+    failed shape check leaves no H_tot behind, so every read checks again."""
+    for _ in range(2):
+        for validate in (validate_hopf, lambda H: check_structural_lemmas(H, integral), validate_crossing):
+            with pytest.raises(StructureError):
+                validate(bad)
+
+
 def test_shape_check_catches_malformed(kp):
     bad = replace(kp, counit=GradedTensor((Leg("in", 3),), {(0,): ONE}))
     with pytest.raises(StructureError):
         check_shapes(bad)
+    _validators_refuse(bad, derive_integral_data(kp))
     stray = GradedTensor(kp.mul[1].legs, {**kp.mul[1].data, (0, 0, 4): ONE})
     bad = replace(kp, mul={0: kp.mul[0], 1: stray})
     with pytest.raises(StructureError):
         validate_hopf(bad)
+    _validators_refuse(bad, derive_integral_data(kp))
 
 
 def test_shape_check_catches_partial_crossing(kp):
@@ -263,9 +274,42 @@ def test_shape_check_catches_partial_crossing(kp):
             check_shapes(bad)
         with pytest.raises(StructureError):
             validate_crossing(bad)
+        _validators_refuse(bad, derive_integral_data(kp))
     wide = GradedTensor((Leg("in", 4), Leg("out", 5)), {})
+    bad = replace(kp, crossing={**kp.crossing, (1, 0): wide})
     with pytest.raises(StructureError, match="crossing shape mismatch"):
-        check_shapes(replace(kp, crossing={**kp.crossing, (1, 0): wide}))
+        check_shapes(bad)
+    _validators_refuse(bad, derive_integral_data(kp))
+
+
+def test_total_is_derived_once_per_algebra(monkeypatch, fresh_units):
+    # Every validator reads the algebra's one H_tot; check_shapes opens
+    # each derivation, so it counts them.
+    builds = []
+
+    def counted(H):
+        builds.append(H)
+        check_shapes(H)
+
+    monkeypatch.setattr(hopf, "check_shapes", counted)
+    kp = build_kac_paljutkin()
+    assert validate_hopf(kp).passed
+    assert check_structural_lemmas(kp, derive_integral_data(kp)).passed
+    assert validate_crossing(kp).passed
+    assert builds == [kp]
+    Ht, offsets = kp.total
+    assert kp.total[0] is Ht and offsets == (0, 4, 8)
+    # A replaced copy, here with kp's matrix product doubled, or fresh_units,
+    # is a new object and derives its own.
+    t = kp.mul[1]
+    doubled = replace(kp, mul={**kp.mul, 1: GradedTensor(t.legs, {k: v + v for k, v in t.data.items()})})
+    slow = fresh_units(kp)
+    for H in (doubled, slow):
+        assert H.total[0] is not Ht
+    assert builds == [kp, doubled, slow]
+    assert doubled.total[0].mul[0].entry((4, 4, 4)) == Scalar(2)
+    assert Ht.mul[0].entry((4, 4, 4)) == ONE
+    assert slow.total[0].mul[0].data == Ht.mul[0].data
 
 
 # -- integral data -----------------------------------------------------------
@@ -556,7 +600,7 @@ def test_builtin_unit_entries_are_the_shared_one(kp, s3):
     algebras += [builtin_algebra(f"fun-{name}") for name in (
         "sign-s3", "mod2-z4", "mod3-z6", "trivial-z1", "trivial-z2", "trivial-z3",
         "trivial-z5", "trivial-s3", "trivial-s4")]
-    algebras += [total(H)[0] for H in algebras]
+    algebras += [H.total[0] for H in algebras]
     for H in algebras:
         for field, key, t in structure_maps(H):
             assert all(v is ONE for v in t.data.values() if v == ONE), (field, key)
@@ -567,9 +611,10 @@ def test_builtin_unit_entries_are_the_shared_one(kp, s3):
 
 
 def test_total_tests_no_stored_entry_for_zero(is_zero_count):
-    # total(H) re-files stored, so nonzero, structure constants: no zero test.
+    # H.total re-files stored, so nonzero, structure constants: no zero test.
     s4 = symmetric_group(4)
-    (Ht, offsets), calls = is_zero_count(total, build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order)))))
+    H = build_function_hopf(GroupHom(s4, s4, tuple(range(s4.order))))
+    (Ht, offsets), calls = is_zero_count(lambda: H.total)
     assert calls == 0
     assert offsets[-1] == 24 and len(Ht.delta[(0, 0)].data) == 24 ** 2
 
@@ -704,14 +749,16 @@ def test_checker_reads_both_leg_orders_and_keys_only_on_the_right(permute):
     ({(0, 1): ONE, (1, 0): Scalar(3)}, "(1, 0)"),  # a differing value
 ])
 def test_checker_same_leg_order_reports_like_the_keyed_compare(permute, right_data, first):
-    # Sides with the same leg order fail the one-dict compare and then file
-    # the violation the keyed compare files when one side's legs are swapped.
+    # Sides with the same leg order fail the one compare and then file the
+    # violation filed when one side's legs are swapped; only the right side
+    # is re-keyed, so each case runs with the sides swapped too.
     left = GradedTensor((Leg("x", 2), Leg("y", 2)), {(0, 1): ONE, (1, 0): Scalar(2)})
     right = GradedTensor(left.legs, right_data)
     message = "differ at {}".format
     reports = []
     for rhs in (right, permute(right, (1, 0))):
-        report = Report()
-        assert not _checker(report)(message, "xy", [left], [rhs])
-        reports.append(report.violations)
-    assert reports[0] == reports[1] == [f"differ at {first}"]
+        for sides in (([left], [rhs]), ([rhs], [left])):
+            report = Report()
+            assert not _checker(report)(message, "xy", *sides)
+            reports.append(report.violations)
+    assert reports == [[f"differ at {first}"]] * 4

@@ -30,7 +30,6 @@ from hopfk.hopf import (
     build_kac_paljutkin,
     conjugation_crossing,
     dual_variants,
-    total,
     validate_hopf,
 )
 from hopfk.invariant import contract_invariant, diagram_nodes
@@ -114,6 +113,21 @@ def test_requires_colors(kp):
         contract_invariant(kp, lens_diagram(2))
 
 
+def test_requires_the_algebras_group(kp, z2):
+    # Colors over another group: Z/3 passes validate_diagram on L(3) but is
+    # not kp's Z/2, and 2 in Z/4 names no component of kp.
+    for D in (lens_diagram(3).with_colors(cyclic_group(3), (1,)),
+              lens_diagram(4).with_colors(cyclic_group(4), (2,))):
+        with pytest.raises(ValueError, match="colored over the algebra's group"):
+            contract_invariant(kp, D)
+    # An equal group built separately is the same group.
+    assert z2 is not kp.pi and z2 == kp.pi
+    D = lens_diagram(2)
+    for a in (0, 1):
+        ours = contract_invariant(kp, D.with_colors(kp.pi, (a,)))
+        assert contract_invariant(kp, D.with_colors(z2, (a,))) == ours
+
+
 def test_rejects_invalid_coloring(kp, z2):
     D = lens_diagram(3).with_colors(z2, (1,))
     with pytest.raises(ValueError, match="invalid diagram: color condition fails on lower circle 0"):
@@ -188,9 +202,9 @@ def test_total_algebra_sums_the_flat_bundles(kp, fs3):
     rng = random.Random(5)
     diagrams = [lens_diagram(p) for p in range(1, 7)] + [mirror_diagram(lens_diagram(4))]
     diagrams += [random_diagram(rng, genus_max=2, max_crossings=6) for _ in range(10)]
-    assert total(kp)[0].dim == (8,)
+    assert kp.total[0].dim == (8,)
     for H in (kp, fs3, build_function_hopf(mod_hom(4, 2))):
-        Ht, _ = total(H)
+        Ht, _ = H.total
         assert validate_hopf(Ht).passed
         for D in diagrams:
             colored = (contract_invariant(H, D.with_colors(H.pi, c))[1]
