@@ -83,8 +83,7 @@ def cmd_validate_algebra(args) -> int:
     H = load_algebra(args.algebra)
     ok = _emit_report(args, "validate_hopf", validate_hopf(H))
     if ok:
-        integral = derive_integral_data(H)
-        lemmas = check_structural_lemmas(H, integral, cyclic_bound=args.cyclic_bound)
+        lemmas = check_structural_lemmas(H, derive_integral_data(H))
         ok = _emit_report(args, "check_structural_lemmas", lemmas)
         ok = _emit_report(args, "validate_crossing", validate_crossing(H)) and ok
     return 0 if ok else 1
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate-algebra", cmd_validate_algebra, help="check all axioms")
     p.add_argument("algebra", help="builtin name or algebra JSON file")
-    p.add_argument("--cyclic-bound", type=positive_int, default=4)
 
     p = add("invariant", cmd_invariant, help="compute Z and K of a colored diagram")
     p.add_argument("--algebra", required=True)

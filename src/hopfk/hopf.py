@@ -397,9 +397,16 @@ def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
 
 
 def check_structural_lemmas(
-    H: HopfPiCoalgebra, integral: IntegralData, cyclic_bound: int = 4
+    H: HopfPiCoalgebra, integral: IntegralData,
+    cyclic_bound: int = 4,  # unread: kept while bench/workloads.py still passes it
 ) -> Report:
-    """Verify the integral and symmetry identities the invariant relies on."""
+    """Verify the integral and symmetry identities the invariant relies on.
+
+    Cyclic symmetry of T and C is checked at arity 2, which implies every
+    arity given (co)associativity (``validate_hopf`` checks it first):
+    T(x_0 (x_1...x_n)) = T((x_1...x_n) x_0), and swapping the factors of
+    Delta(C) in (id x Delta^(n-1)) Delta(C) gives (Delta^(n-1) x id) Delta(C),
+    with leg 0 moved last.  Neither step needs T or C derived from H."""
     report = Report()
     check = _checker(report)
     pi, names = H.pi, H.pi.names
@@ -451,26 +458,16 @@ def check_structural_lemmas(
         if _value(_at(T[a], "i"), _at(unit[a], "i")) != dim_scalar:
             report.fail(f"T(1) in H_{names[a]} differs from dim of H at identity")
 
-    # Cyclic symmetry, for n up to the bound, of the trace word
-    # T(x_0 x_1 ... x_{n-1}) and of the n-fold coproduct of C on H_tot: each
-    # must equal itself with its legs rotated by one.  Block by block this
-    # is T_a(x_0 ... x_{n-1}) = T_a(x_1 ... x_0) in each H_a, and the
-    # coproduct of C along each grading (g_0, ..., g_{n-1}) against the one
-    # along (g_1, ..., g_{n-1}, g_0), its legs shifted back by one.
+    # Cyclic symmetry at arity 2 on H_tot; block by block, T_a(xy) = T_a(yx)
+    # in each H_a, and Delta_{a,b}(C) against Delta_{b,a}(C), legs swapped.
     def grades(key):
         return tuple(names[a] for a in _locate(offsets, key)[0])
 
-    for arity in range(2, cyclic_bound + 1):
-        rotate = {t: (t + 1) % arity for t in range(arity)}
-        chain, out = product_chain(Ht, 0, range(arity), ("p",))
-        word = contract_network(chain + [_at(T_tot, [out])])
-        check(lambda k: f"trace product not cyclically symmetric in H_{grades(k)[0]} at "
-              f"{_locate(offsets, k)[1]} (arity {arity})",
-              range(arity), [word], [word.relabel(rotate)])
-        chain, root = coproduct_chain(Ht, (0,) * arity, range(arity), ("q",))
-        split = contract_network(chain + [_at(C_tot, [root])])
-        check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading "
-              f"{grades(k)}", range(arity), [split], [split.relabel(rotate)])
+    check(lambda k: f"trace product not cyclically symmetric in H_{grades(k)[0]} at "
+          f"{_locate(offsets, k)[1]} (arity 2)",
+          "xy", [_at(mul, "xym"), _at(T_tot, "m")], [_at(mul, "yxm"), _at(T_tot, "m")])
+    check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading {grades(k)}",
+          "xy", [_at(C_tot, "c"), _at(delta, "cxy")], [_at(C_tot, "c"), _at(delta, "cyx")])
 
     return report
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -11,8 +13,9 @@ from hopfk import (
     symmetric_group,
     trivial_hom,
 )
+from hopfk.hopf import coproduct_chain, product_chain
 from hopfk.scalars import ONE, Scalar
-from hopfk.tensors import GradedTensor, Leg
+from hopfk.tensors import GradedTensor, Leg, contract_network
 
 
 @pytest.fixture(scope="session")
@@ -197,3 +200,43 @@ def _fresh_units(H):
 @pytest.fixture(scope="session")
 def fresh_units():
     return _fresh_units
+
+
+# -- a reference of the cyclic lemmas at every arity ----------------------------------
+
+
+def _cyclic_failures(H, integral, arity):
+    """The arity-n cyclic check that ``check_structural_lemmas`` once made
+    for every n up to a bound, built from ``product_chain`` and
+    ``coproduct_chain`` one component at a time: T_a(x_0 ... x_{n-1})
+    against T_a(x_1 ... x_{n-1} x_0) in each H_a, and the n-fold coproduct
+    of C along each grading (g_0, ..., g_{n-1}) against the one along
+    (g_1, ..., g_{n-1}, g_0), its legs shifted back by one.  Returns the
+    subset of {"trace", "cotrace"} that fails."""
+    legs = range(arity)
+    rotate = {t: (t + 1) % arity for t in legs}
+
+    def entries(t):
+        return {tuple(key[t.axis(leg)] for leg in legs): v for key, v in t.data.items()}
+
+    failures = set()
+    for a, T in enumerate(integral.trace):
+        chain, out = product_chain(H, a, legs, ("p",))
+        word = contract_network(chain + [T.relabel({"in": out})])
+        if entries(word) != entries(word.relabel(rotate)):
+            failures.add("trace")
+    pi = H.pi
+    splits = {}
+    for grading in itertools.product(range(pi.order), repeat=arity):
+        if functools.reduce(lambda s, g: pi.mul[s][g], grading, pi.identity) == pi.identity:
+            chain, root = coproduct_chain(H, grading, legs, ("q",))
+            splits[grading] = contract_network(chain + [integral.cotrace.relabel({"out": root})])
+    for grading, split in splits.items():
+        if entries(split) != entries(splits[grading[1:] + grading[:1]].relabel(rotate)):
+            failures.add("cotrace")
+    return failures
+
+
+@pytest.fixture(scope="session")
+def cyclic_failures():
+    return _cyclic_failures

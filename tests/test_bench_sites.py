@@ -4,6 +4,7 @@ moves one of them must fail here, not halfway through a traced run."""
 
 import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -47,19 +48,24 @@ def test_invariant_reaches_integral_data_through_its_module(monkeypatch):
     assert calls == [H] * 3
 
 
+def _workloads():
+    """The syntax tree of bench/workloads.py, which is only parsed, and the
+    hopfk modules it imports by name (``from hopfk import hopf``)."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: importlib.import_module(f"hopfk.{alias.name}")
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "hopfk"
+               for alias in node.names}
+    return tree, modules
+
+
 def test_workloads_read_only_existing_attributes():
     # Every name bench/workloads.py imports from hopfk, and every
     # ``module.attr`` it reads from an imported hopfk module, found in its
     # syntax tree; the source is only parsed.
-    tree = ast.parse((BENCH / "workloads.py").read_text())
-    modules = {}
+    tree, modules = _workloads()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("hopfk"):
-            continue
-        for alias in node.names:
-            if node.module == "hopfk":
-                modules[alias.asname or alias.name] = importlib.import_module(f"hopfk.{alias.name}")
-            else:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hopfk."):
+            for alias in node.names:
                 assert hasattr(importlib.import_module(node.module), alias.name), (node.module, alias.name)
     assert modules
     reads = {(node.value.id, node.attr) for node in ast.walk(tree)
@@ -70,3 +76,23 @@ def test_workloads_read_only_existing_attributes():
     assert not missing, missing
     # Read by bench/ only, so no caller in src/ would catch a move.
     assert callable(GroupTable.power) and callable(tensors.entry_cap)
+
+
+def test_workloads_call_hopfk_with_accepted_arguments():
+    # Every ``module.attr(...)`` call bench/workloads.py makes on a hopfk
+    # module binds its positional count and keyword names to the callee's
+    # signature, so a src change that drops a parameter the benchmark
+    # still passes fails here, not in the benchmark run.
+    tree, modules = _workloads()
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in modules]
+    assert calls
+    for call in calls:
+        f = getattr(modules[call.func.value.id], call.func.attr)
+        args = [None] * len(call.args) if not any(isinstance(a, ast.Starred) for a in call.args) else []
+        kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(f).bind_partial(*args, **kwargs)
+        except TypeError as exc:
+            raise AssertionError(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}") from None

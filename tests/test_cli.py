@@ -496,7 +496,6 @@ def test_zero_dimensional_identity_component_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate-algebra", "kp", "--cyclic-bound", "-3"],
     ["lens-table", "--algebra", "kp", "--max-n", "-2"],
     ["move-fuzz", "--algebra", "kp", "--diagram", "unused.json", "--steps", "-4"],
 ])

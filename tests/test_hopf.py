@@ -9,7 +9,7 @@ from hopfk import hopf
 from hopfk.cli import main
 from hopfk.diagio import builtin_algebra, dump_algebra, parse_algebra
 from hopfk.fuzz import mutate_algebra
-from hopfk.groups import GroupHom, Report, cyclic_group, symmetric_group, trivial_hom
+from hopfk.groups import GroupHom, Report, cyclic_group, mod_hom, symmetric_group, trivial_hom
 from hopfk.hopf import (
     HopfPiCoalgebra,
     StructureError,
@@ -372,7 +372,7 @@ def test_replaced_algebra_derives_its_own_integral_data(vector):
 def test_structural_lemmas_all_constructors():
     for H in all_constructors():
         integral = derive_integral_data(H)
-        report = check_structural_lemmas(H, integral, cyclic_bound=3)
+        report = check_structural_lemmas(H, integral)
         assert report.passed, report.violations[:3]
 
 
@@ -392,7 +392,7 @@ def test_lemmas_file_a_component_dimension_unlike_the_identity_one():
         counit=tensor("counit", None, {(0,): ONE}),
         antipode={a: tensor("antipode", a, {(i, i): ONE for i in range(dim[a])}) for a in range(2)},
     )
-    violations = check_structural_lemmas(H, derive_integral_data(H), cyclic_bound=2).violations
+    violations = check_structural_lemmas(H, derive_integral_data(H)).violations
     assert "dim H_1 = 2 differs from identity component dimension 1" in violations
 
 
@@ -404,7 +404,7 @@ def test_bumped_identity_trace_is_one_violation(kp, fs3):
         trace = list(integral.trace)
         trace[e] = _bumped(trace[e], 0)
         bumped = replace(integral, trace=tuple(trace))
-        violations = check_structural_lemmas(H, bumped, cyclic_bound=2).violations
+        violations = check_structural_lemmas(H, bumped).violations
         assert [v for v in violations if v.startswith("T(1)")] == [
             f"T(1) in H_{H.pi.names[e]} differs from dim of H at identity"
         ]
@@ -418,13 +418,60 @@ def test_cyclic_lemmas_detect_a_bumped_trace_and_cotrace(kp):
     T0, T1 = integral.trace
     bumped_trace = replace(integral, trace=(T0, _bumped(T1, 1)))
     bumped_cotrace = replace(integral, cotrace=_bumped(integral.cotrace, 1))
-    violations = check_structural_lemmas(kp, bumped_trace, cyclic_bound=2).violations
+    violations = check_structural_lemmas(kp, bumped_trace).violations
     assert "trace product not cyclically symmetric in H_1 at (0, 1) (arity 2)" in violations
     assert not any(v.startswith("iterated coproduct of C") for v in violations)
-    violations = check_structural_lemmas(kp, bumped_cotrace, cyclic_bound=3).violations
-    for grading in ("('1', '1')", "('1', '0', '1')"):
-        assert f"iterated coproduct of C not cyclically symmetric for grading {grading}" in violations
+    violations = check_structural_lemmas(kp, bumped_cotrace).violations
+    assert "iterated coproduct of C not cyclically symmetric for grading ('1', '1')" in violations
     assert not any(v.startswith("trace product") for v in violations)
+
+
+def test_cyclic_symmetry_at_arity_2_implies_every_arity(kp, fs3, s3, cyclic_failures):
+    # check_structural_lemmas checks arity 2 only; the reference checks each
+    # arity n on its own.  Valid algebras pass at every n, and on seeded +1
+    # bumps of the trace and the cotrace every arity-n failure comes with
+    # the arity-2 violation of its kind.
+    rng = random.Random(21)
+    prefixes = {"trace": "trace product not cyclically", "cotrace": "iterated coproduct of C not cyclically"}
+    higher = 0
+    for H in (kp, fs3, build_function_hopf(mod_hom(4, 2)), build_function_hopf(trivial_hom(s3))):
+        integral = derive_integral_data(H)
+        assert all(not cyclic_failures(H, integral, n) for n in range(2, 6))
+        e, bumps = H.pi.identity, []
+        for _ in range(4):
+            a = rng.choice(H.support())
+            trace = list(integral.trace)
+            trace[a] = _bumped(trace[a], rng.randrange(H.dim[a]))
+            bumps.append(replace(integral, trace=tuple(trace)))
+            bumps.append(replace(integral, cotrace=_bumped(integral.cotrace, rng.randrange(H.dim[e]))))
+        for bumped in bumps:
+            violations = check_structural_lemmas(H, bumped).violations
+            filed = {kind for kind, prefix in prefixes.items() if any(v.startswith(prefix) for v in violations)}
+            assert cyclic_failures(H, bumped, 2) == filed
+            for n in range(3, 6):
+                failed = cyclic_failures(H, bumped, n)
+                assert failed <= filed, (n, failed, filed)
+                higher += bool(failed)
+    assert higher  # some bump breaks a higher arity, so the implication is exercised
+
+
+def test_structural_lemmas_hold_no_tensor_above_two_open_legs(monkeypatch):
+    # The largest tensor the lemmas build is a matrix on H_tot, at most
+    # dim(H_tot)^2 entries: no contraction leaves more than two open legs.
+    H = builtin_algebra("fun-trivial-s4")
+    integral = derive_integral_data(H)
+    dim = H.total[0].dim[0]  # H_tot is derived before the count
+    results = []
+    contract = GradedTensor.contract
+
+    def logged(self, other):
+        results.append(contract(self, other))
+        return results[-1]
+
+    monkeypatch.setattr(GradedTensor, "contract", logged)
+    assert check_structural_lemmas(H, integral).passed
+    assert results and max(len(t.legs) for t in results) <= 2
+    assert max(t.size() for t in results) <= dim ** 2
 
 
 def test_trace_symmetry_randomized(kp):
@@ -514,9 +561,7 @@ def test_mutation_sensitivity(kp):
         broken = not validate_hopf(mutated).passed
         if not broken:
             integral = derive_integral_data(mutated)
-            broken = not check_structural_lemmas(
-                mutated, integral, cyclic_bound=2
-            ).passed
+            broken = not check_structural_lemmas(mutated, integral).passed
         assert broken, f"mutation went undetected: {desc}"
 
 
@@ -632,8 +677,7 @@ def test_unit_shortcut_keeps_every_violation(kp, fs3, s3, fresh_units):
         slow = fresh_units(H)
         assert not any(v is ONE for _, _, t in structure_maps(slow) for v in t.data.values())
         assert validate_hopf(slow).violations == validate_hopf(H).violations
-        lemmas = [check_structural_lemmas(A, derive_integral_data(A), cyclic_bound=3)
-                  for A in (slow, H)]
+        lemmas = [check_structural_lemmas(A, derive_integral_data(A)) for A in (slow, H)]
         assert lemmas[0].violations == lemmas[1].violations
         assert validate_crossing(slow) == validate_crossing(H)
 
