@@ -498,6 +498,7 @@ def test_zero_dimensional_identity_component_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["lens-table", "--algebra", "kp", "--max-n", "-2"],
     ["move-fuzz", "--algebra", "kp", "--diagram", "unused.json", "--steps", "-4"],
+    ["lens-table", "--algebra", "kp", "--max-n", "0"],
 ])
 def test_count_options_refuse_values_below_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
