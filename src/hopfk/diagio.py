@@ -378,11 +378,11 @@ def result_record(D: Diagram, Z, K) -> dict:
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

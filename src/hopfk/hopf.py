@@ -7,6 +7,8 @@ holding only its nonzero entries, with fixed leg labels.  Everything the
 invariant needs is derived from these tensors, and every defining
 identity is checked exactly by ``validate_hopf`` as the equality of two
 small tensor networks, contracted by the same engine as the invariant.
+Every network renames its legs by position (``GradedTensor.relabel``), so
+the stored labels below, defined in ``LAYOUT``, are read only here.
 
 In-memory leg labels, in stored order, and what an entry means:
 
@@ -185,12 +187,6 @@ def _basis(names, offsets, i) -> str:
 # -- network identities --------------------------------------------------------
 
 
-def _at(t: GradedTensor, labels) -> GradedTensor:
-    """``t`` with its legs, in stored order, renamed to ``labels``; a string
-    names one leg per character."""
-    return t.relabel(dict(zip(t.labels, labels)))
-
-
 def _value(*nodes) -> Scalar:
     return contract_network(nodes).as_scalar()
 
@@ -203,8 +199,9 @@ def _checker(report):
     There is one path.  Each right key is read in the left side's leg order
     through one projection, and the left's values at those keys are
     compared with the right's in one C-level list compare (which takes a
-    shared ``ONE`` by identity); no re-keyed copy of the right is built, as
-    it may share its dict with the left.  Only a failing check builds one."""
+    shared ``ONE`` by identity).  No re-keyed copy of the right is built: a
+    one-node side is its node, a stored tensor renamed by ``relabel``, which
+    shares the stored dict.  Only a failing check builds one."""
 
     def check(message, order, lhs, rhs):
         left, right = (contract_network(side) for side in (lhs, rhs))
@@ -257,11 +254,11 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
 
     # Associativity and unit.
     check(lambda k: f"associativity fails in H_{name(k[0])} at {_ix(local(k[:3]))}", "xyzo",
-          [_at(mul, "xym"), _at(mul, "mzo")], [_at(mul, "yzm"), _at(mul, "xmo")])
+          [mul.relabel("xym"), mul.relabel("mzo")], [mul.relabel("yzm"), mul.relabel("xmo")])
     check(lambda k: f"left unit fails in H_{name(k[0])} at basis {local(k)[0]}", "xy",
-          [_at(unit, "u"), _at(mul, "uxy")], [one])
+          [unit.relabel("u"), mul.relabel("uxy")], [one])
     check(lambda k: f"right unit fails in H_{name(k[0])} at basis {local(k)[0]}", "xy",
-          [_at(mul, "xuy"), _at(unit, "u")], [one])
+          [mul.relabel("xuy"), unit.relabel("u")], [one])
 
     # Coassociativity, one basis vector x of H_tot at a time, so each side holds
     # only the terms of Delta(x) split three ways (|G|^2 for F(G), not |G|^3).
@@ -273,50 +270,51 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
         row = GradedTensor.from_stored(delta.legs, rows[x])
         if not check(lambda k: f"coassociativity fails at ({name(k[1])},{name(k[2])},"
                      f"{name(k[3])}) basis {local(k)[0]}", "xjkl",
-                     [_at(delta, "mjk"), _at(row, "xml")], [_at(delta, "mkl"), _at(row, "xjm")]):
+                     [delta.relabel("mjk"), row.relabel("xml")],
+                     [delta.relabel("mkl"), row.relabel("xjm")]):
             break
 
     # Counit law.
     check(lambda k: f"counit law (id x eps) fails in H_{name(k[0])} at {local(k)[0]}", "xy",
-          [_at(delta, "xyp"), _at(eps, "p")], [one])
+          [delta.relabel("xyp"), eps.relabel("p")], [one])
     check(lambda k: f"counit law (eps x id) fails in H_{name(k[0])} at {local(k)[0]}", "xy",
-          [_at(delta, "xpy"), _at(eps, "p")], [one])
+          [delta.relabel("xpy"), eps.relabel("p")], [one])
 
     # Antipode law, both sides.
-    eps_unit = [_at(eps, "x"), _at(unit, "p")]
+    eps_unit = [eps.relabel("x"), unit.relabel("p")]
     check(lambda k: f"antipode law (S x id) fails in H_{name(k[1])} at {local(k)[0]}", "xp",
-          [_at(delta, "xjk"), _at(S, "jm"), _at(mul, "mkp")], eps_unit)
+          [delta.relabel("xjk"), S.relabel("jm"), mul.relabel("mkp")], eps_unit)
     check(lambda k: f"antipode law (id x S) fails in H_{name(k[1])} at {local(k)[0]}", "xp",
-          [_at(delta, "xjk"), _at(S, "km"), _at(mul, "jmp")], eps_unit)
+          [delta.relabel("xjk"), S.relabel("km"), mul.relabel("jmp")], eps_unit)
 
     # Comultiplication and counit are algebra homomorphisms.
     check(lambda k: f"Delta({name(k[0])},{name(k[1])}) does not preserve the unit", "jk",
-          [_at(unit, "i"), _at(delta, "ijk")], [_at(unit, "j"), _at(unit, "k")])
+          [unit.relabel("i"), delta.relabel("ijk")], [unit.relabel("j"), unit.relabel("k")])
     check(lambda k: f"Delta({name(k[2])},{name(k[3])}) is not multiplicative "
           f"at basis pair {_ix(local(k[:2]))}", "xyjk",
-          [_at(mul, "xym"), _at(delta, "mjk")],
-          [_at(delta, "xac"), _at(delta, "ybd"), _at(mul, "abj"), _at(mul, "cdk")])
-    if H.dim[e] and _value(_at(eps, "i"), _at(unit, "i")) != ONE:
+          [mul.relabel("xym"), delta.relabel("mjk")],
+          [delta.relabel("xac"), delta.relabel("ybd"), mul.relabel("abj"), mul.relabel("cdk")])
+    if H.dim[e] and _value(eps.relabel("i"), unit.relabel("i")) != ONE:
         report.fail("counit of the unit is not 1")
     check(lambda k: f"counit is not multiplicative at {_ix(local(k))}", "xy",
-          [_at(mul, "xym"), _at(eps, "m")], [_at(eps, "x"), _at(eps, "y")])
+          [mul.relabel("xym"), eps.relabel("m")], [eps.relabel("x"), eps.relabel("y")])
 
     # Involutory antipode.
     check(lambda k: f"S_{name(k[0], True)} S_{name(k[0])} != id at basis {local(k)[0]}", "xy",
-          [_at(S, "xm"), _at(S, "my")], [one])
+          [S.relabel("xm"), S.relabel("my")], [one])
 
     # Antipode anti-multiplicative with S(1) = 1.
     check(lambda k: f"S_{name(k[0], True)} does not preserve the unit", "y",
-          [_at(unit, "m"), _at(S, "my")], [_at(unit, "y")])
+          [unit.relabel("m"), S.relabel("my")], [unit.relabel("y")])
     check(lambda k: f"S_{name(k[0])} is not anti-multiplicative at {_ix(local(k[:2]))}", "xyo",
-          [_at(mul, "xym"), _at(S, "mo")], [_at(S, "yq"), _at(S, "xp"), _at(mul, "qpo")])
+          [mul.relabel("xym"), S.relabel("mo")], [S.relabel("yq"), S.relabel("xp"), mul.relabel("qpo")])
 
     # Antipode anti-comultiplicative; eps o S = eps.
     check(lambda k: f"eps o S != eps at basis {local(k)[0]}", "x",
-          [_at(S, "xm"), _at(eps, "m")], [_at(eps, "x")])
+          [S.relabel("xm"), eps.relabel("m")], [eps.relabel("x")])
     check(lambda k: f"antipode is not anti-comultiplicative at ({name(k[2], True)},"
           f"{name(k[1], True)}) basis {local(k)[0]}", "xqp",
-          [_at(S, "xm"), _at(delta, "mqp")], [_at(delta, "xjk"), _at(S, "jp"), _at(S, "kq")])
+          [S.relabel("xm"), delta.relabel("mqp")], [delta.relabel("xjk"), S.relabel("jp"), S.relabel("kq")])
 
     if H.dim_identity == 0:
         report.fail("identity component has dimension 0")
@@ -333,10 +331,10 @@ def product_chain(H: HopfPiCoalgebra, a, legs, tag):
     ``(*tag, t)``; the empty product is the unit of H_a, on ``(*tag, 0)``."""
     legs = list(legs)
     if not legs:
-        return [_at(H.unit[a], [(*tag, 0)])], (*tag, 0)
+        return [H.unit[a].relabel([(*tag, 0)])], (*tag, 0)
     # pending[t] carries the product of the first t + 1 legs.
     pending = legs[:1] + [(*tag, t) for t in range(1, len(legs))]
-    nodes = [_at(H.mul[a], (pending[t - 1], legs[t], pending[t])) for t in range(1, len(legs))]
+    nodes = [H.mul[a].relabel((pending[t - 1], legs[t], pending[t])) for t in range(1, len(legs))]
     return nodes, pending[-1]
 
 
@@ -347,12 +345,12 @@ def coproduct_chain(H: HopfPiCoalgebra, grading, legs, tag):
     ``(*tag, t)``; the empty coproduct is the counit, on ``(*tag, 0)``."""
     legs, mul = list(legs), H.pi.mul
     if not legs:
-        return [_at(H.counit, [(*tag, 0)])], (*tag, 0)
+        return [H.counit.relabel([(*tag, 0)])], (*tag, 0)
     # suffix[t] = g_t ... g_{m-1} grades pending leg t.
     suffix = list(itertools.accumulate(reversed(grading), lambda s, g: mul[g][s]))[::-1]
     pending = [(*tag, t) for t in range(len(legs) - 1)] + legs[-1:]
     nodes = [
-        _at(H.delta[(g, s)], (p, leg, q))
+        H.delta[(g, s)].relabel((p, leg, q))
         for g, s, p, leg, q in zip(grading, suffix[1:], pending, legs, pending[1:])
     ]
     return nodes, pending[0]
@@ -390,7 +388,7 @@ def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
     # Each tensor with its legs i and j closed by the identity matrix.
     closed = [(H.mul[a], ("i", "in", "j"), H.dim[a]) for a in range(H.pi.order)]
     closed.append((H.delta[(e, e)], ("i", "j", "out"), H.dim[e]))
-    derived = (contract_network([_at(t, labels), GradedTensor.identity("i", "j", dim)])
+    derived = (contract_network([t.relabel(labels), GradedTensor.identity("i", "j", dim)])
                for t, labels, dim in closed)
     *trace, cotrace = (GradedTensor(t.legs, t.data) for t in derived)
     return IntegralData(tuple(trace), cotrace)
@@ -409,10 +407,8 @@ def check_structural_lemmas(
     with leg 0 moved last.  Neither step needs T or C derived from H."""
     report = Report()
     check = _checker(report)
-    pi, names = H.pi, H.pi.names
-    e = pi.identity
-    de = H.dim[e]
-    unit, eps = H.unit, H.counit
+    names, e = H.pi.names, H.pi.identity
+    de, unit, eps = H.dim[e], H.unit, H.counit
     T, C = integral.trace, integral.cotrace
 
     # The linear identities hold on H_tot (see ``H.total``), block by block,
@@ -424,27 +420,27 @@ def check_structural_lemmas(
     C_tot = _direct_sum(offsets, ("out",), [((e,), C)])
 
     # T is a two-sided pi-integral: both sides of the defining equation.
-    dd = _at(delta, "xjk")
+    dd = delta.relabel("xjk")
     check(lambda k: f"(id x T) integral equation fails at basis pair ({at(k[0])}, {at(k[1])})",
-          "xj", [dd, _at(T_tot, "k")], [_at(T_tot, "x"), _at(Ht.unit[0], "j")])
+          "xj", [dd, T_tot.relabel("k")], [T_tot.relabel("x"), Ht.unit[0].relabel("j")])
     check(lambda k: f"(T x id) integral equation fails at basis pair ({at(k[0])}, {at(k[1])})",
-          "xk", [dd, _at(T_tot, "j")], [_at(T_tot, "x"), _at(Ht.unit[0], "k")])
+          "xk", [dd, T_tot.relabel("j")], [T_tot.relabel("x"), Ht.unit[0].relabel("k")])
 
     # C is a two-sided integral for the identity component.
-    eps_C = [_at(Ht.counit, "x"), _at(C_tot, "y")]
+    eps_C = [Ht.counit.relabel("x"), C_tot.relabel("y")]
     check(lambda k: f"C is not a left integral at basis {at(k[0])}", "xy",
-          [_at(mul, "xcy"), _at(C_tot, "c")], eps_C)
+          [mul.relabel("xcy"), C_tot.relabel("c")], eps_C)
     check(lambda k: f"C is not a right integral at basis {at(k[0])}", "xy",
-          [_at(C_tot, "c"), _at(mul, "cxy")], eps_C)
-    check(lambda k: "S(C) != C", "y", [_at(C_tot, "m"), _at(S, "my")], [_at(C_tot, "y")])
+          [C_tot.relabel("c"), mul.relabel("cxy")], eps_C)
+    check(lambda k: "S(C) != C", "y", [C_tot.relabel("m"), S.relabel("my")], [C_tot.relabel("y")])
     check(lambda k: f"T o S != T at basis {at(k[0])}", "x",
-          [_at(S, "xm"), _at(T_tot, "m")], [_at(T_tot, "x")])
+          [S.relabel("xm"), T_tot.relabel("m")], [T_tot.relabel("x")])
 
     # Scalar identities.
     dim_scalar = Scalar(de)
-    if _value(_at(eps, "i"), _at(C, "i")) != dim_scalar:
+    if _value(eps.relabel("i"), C.relabel("i")) != dim_scalar:
         report.fail("eps(C) != dim of identity component")
-    if _value(_at(T[e], "i"), _at(C, "i")) != dim_scalar:
+    if _value(T[e].relabel("i"), C.relabel("i")) != dim_scalar:
         report.fail("T(C) != dim of identity component")
 
     # dim H_a = dim H_1 on the support (characteristic-zero statement),
@@ -455,7 +451,7 @@ def check_structural_lemmas(
                 f"dim H_{names[a]} = {H.dim[a]} differs from identity "
                 f"component dimension {de}"
             )
-        if _value(_at(T[a], "i"), _at(unit[a], "i")) != dim_scalar:
+        if _value(T[a].relabel("i"), unit[a].relabel("i")) != dim_scalar:
             report.fail(f"T(1) in H_{names[a]} differs from dim of H at identity")
 
     # Cyclic symmetry at arity 2 on H_tot; block by block, T_a(xy) = T_a(yx)
@@ -465,9 +461,9 @@ def check_structural_lemmas(
 
     check(lambda k: f"trace product not cyclically symmetric in H_{grades(k)[0]} at "
           f"{_locate(offsets, k)[1]} (arity 2)",
-          "xy", [_at(mul, "xym"), _at(T_tot, "m")], [_at(mul, "yxm"), _at(T_tot, "m")])
+          "xy", [mul.relabel("xym"), T_tot.relabel("m")], [mul.relabel("yxm"), T_tot.relabel("m")])
     check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading {grades(k)}",
-          "xy", [_at(C_tot, "c"), _at(delta, "cxy")], [_at(C_tot, "c"), _at(delta, "cyx")])
+          "xy", [C_tot.relabel("c"), delta.relabel("cxy")], [C_tot.relabel("c"), delta.relabel("cyx")])
 
     return report
 
@@ -518,17 +514,18 @@ def conjugation_crossing(phi: GroupHom):
     pi = phi.target
     if phi.source != pi or phi.image != tuple(range(pi.order)):
         raise ValueError("conjugation crossing needs phi to be the identity of one group")
-    dim = (1,) * pi.order
-    return {
-        ba: structure_tensor(pi, dim, "crossing", ba, {(0, 0): ONE})
-        for ba in itertools.product(range(pi.order), repeat=2)
-    }
+    return _identity_matrices(pi, (1,) * pi.order)
 
 
 def identity_crossing_data(pi: GroupTable, dim):
     """The identity crossing, available whenever pi is abelian."""
     if not pi.is_abelian():
         raise ValueError("identity crossing requires an abelian group")
+    return _identity_matrices(pi, dim)
+
+
+def _identity_matrices(pi: GroupTable, dim):
+    """The crossing phi_b sending basis vector i of H_a to i of H_{bab^-1}."""
     return {
         (b, a): structure_tensor(pi, dim, "crossing", (b, a), {(i, i): ONE for i in range(dim[a])})
         for b, a in itertools.product(range(pi.order), repeat=2)
@@ -645,23 +642,25 @@ def validate_crossing(H: HopfPiCoalgebra) -> Report:
 
     for b, f in enumerate(phi):
         check(lambda k: f"phi_{names[b]} does not preserve the unit at basis {at(k[0])}", "y",
-              [_at(unit, "m"), _at(f, "my")], [_at(unit, "y")])
+              [unit.relabel("m"), f.relabel("my")], [unit.relabel("y")])
         check(lambda k: f"phi_{names[b]} is not multiplicative at basis pair "
               f"({at(k[0])}, {at(k[1])})", "xyo",
-              [_at(mul, "xym"), _at(f, "mo")], [_at(f, "xp"), _at(f, "yq"), _at(mul, "pqo")])
+              [mul.relabel("xym"), f.relabel("mo")],
+              [f.relabel("xp"), f.relabel("yq"), mul.relabel("pqo")])
         check(lambda k: f"phi_{names[b]} does not commute with S at basis {at(k[0])}", "xo",
-              [_at(S, "xm"), _at(f, "mo")], [_at(f, "xm"), _at(S, "mo")])
+              [S.relabel("xm"), f.relabel("mo")], [f.relabel("xm"), S.relabel("mo")])
         check(lambda k: f"phi_{names[b]} does not preserve the counit at basis {at(k[0])}", "x",
-              [_at(f, "xm"), _at(eps, "m")], [_at(eps, "x")])
+              [f.relabel("xm"), eps.relabel("m")], [eps.relabel("x")])
         check(lambda k: f"phi_{names[b]} does not preserve Delta at basis {at(k[0])}", "xpq",
-              [_at(delta, "xjk"), _at(f, "jp"), _at(f, "kq")], [_at(f, "xm"), _at(delta, "mpq")])
+              [delta.relabel("xjk"), f.relabel("jp"), f.relabel("kq")],
+              [f.relabel("xm"), delta.relabel("mpq")])
 
     # Multiplicativity in the crossing index, and phi_1 = id.
     for b1, b2 in itertools.product(els, repeat=2):
         b = pi.mul[b1][b2]
         check(lambda k: f"crossing not multiplicative: phi_{names[b1]} o phi_{names[b2]} "
               f"!= phi_{names[b]} at basis {at(k[0])}", "xy",
-              [_at(phi[b2], "xm"), _at(phi[b1], "my")], [_at(phi[b], "xy")])
+              [phi[b2].relabel("xm"), phi[b1].relabel("my")], [phi[b].relabel("xy")])
     check(lambda k: f"phi_{names[pi.identity]} is not the identity at basis {at(k[0])}", "xy",
-          [_at(phi[pi.identity], "xy")], [GradedTensor.identity("x", "y", offsets[-1])])
+          [phi[pi.identity].relabel("xy")], [GradedTensor.identity("x", "y", offsets[-1])])
     return report

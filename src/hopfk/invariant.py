@@ -8,9 +8,9 @@ crossings gets the unit or the counit like any empty chain.  Crossings
 pair the corresponding legs; a negative crossing's leg passes through its
 own antipode node.  The nodes are the stored structure tensors and the
 algebra's trace and cotrace (see ``hopf.derive_integral_data``), only
-relabelled, and ``contract_network`` contracts them a pair at a time, so
-memory stays proportional to the largest open frontier, not the full
-circle tensors.
+relabelled, by position, so no stored leg name is used here; and
+``contract_network`` contracts them a pair at a time, so memory stays
+proportional to the largest open frontier, not the full circle tensors.
 """
 
 from __future__ import annotations
@@ -26,16 +26,15 @@ def _upper_nodes(H, integral, D, k):
     legs in traversal order (the unit if there are none), then the trace."""
     a = D.colors[k]
     chain, out = product_chain(H, a, [("x", c) for c in D.upper_orders[k]], ("u", k))
-    return chain + [integral.trace[a].relabel({"in": out})]
+    return chain + [integral.trace[a].relabel([out])]
 
 
-def _lower_nodes(H, integral, D, i):
+def _lower_nodes(H, integral, D, cmap, i):
     """Node chain for lower circle i: the cotrace, then the
     ``coproduct_chain`` that splits it over the crossing legs (the counit
     if there are none).  The leg of a negative crossing c is named
     ("s", c) and reaches ("x", c) through its own antipode node."""
     pi = H.pi
-    cmap = D.crossing_map()
     crossings = [cmap[cid] for cid in D.lower_orders[i]]
     gradings = [
         D.colors[c.upper] if c.sign == 1 else pi.inverse[D.colors[c.upper]]
@@ -44,8 +43,8 @@ def _lower_nodes(H, integral, D, i):
     legs = [("x", c.id) if c.sign == 1 else ("s", c.id) for c in crossings]
     chain, root = coproduct_chain(H, gradings, legs, ("d", i))
     # S maps the component graded a^-1 into the one graded a.
-    return [integral.cotrace.relabel({"out": root})] + chain + [
-        H.antipode[g].relabel({"in": ("s", c.id), "out": ("x", c.id)})
+    return [integral.cotrace.relabel([root])] + chain + [
+        H.antipode[g].relabel((("s", c.id), ("x", c.id)))
         for c, g in zip(crossings, gradings)
         if c.sign == -1
     ]
@@ -59,11 +58,12 @@ def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
     ``derive_integral_data``, derived on the first diagram and shared by
     every later one."""
     integral = derive_integral_data(H)
+    cmap = D.crossing_map()
     nodes = []
     for k in range(D.genus):
         nodes.extend(_upper_nodes(H, integral, D, k))
     for i in range(D.genus):
-        nodes.extend(_lower_nodes(H, integral, D, i))
+        nodes.extend(_lower_nodes(H, integral, D, cmap, i))
     return nodes
 
 

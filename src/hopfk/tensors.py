@@ -116,12 +116,12 @@ class GradedTensor:
 
     # -- structural operations ----------------------------------------------
 
-    def relabel(self, mapping) -> "GradedTensor":
-        legs = tuple(
-            Leg(mapping.get(leg.label, leg.label), leg.dim)
-            for leg in self.legs
-        )
-        return GradedTensor.from_stored(legs, self.data)
+    def relabel(self, labels) -> "GradedTensor":
+        """Rename the legs, in stored order, to ``labels`` (a string gives one per character)."""
+        labels = tuple(labels)
+        if len(labels) != len(self.legs):
+            raise ValueError(f"{len(labels)} labels for {len(self.legs)} legs")
+        return GradedTensor.from_stored(map(Leg, labels, (leg.dim for leg in self.legs)), self.data)
 
     # -- contraction ---------------------------------------------------------
 

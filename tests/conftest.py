@@ -214,7 +214,9 @@ def _cyclic_failures(H, integral, arity):
     (g_1, ..., g_{n-1}, g_0), its legs shifted back by one.  Returns the
     subset of {"trace", "cotrace"} that fails."""
     legs = range(arity)
-    rotate = {t: (t + 1) % arity for t in legs}
+
+    def rotate(t):
+        return t.relabel([(leg + 1) % arity for leg in t.labels])
 
     def entries(t):
         return {tuple(key[t.axis(leg)] for leg in legs): v for key, v in t.data.items()}
@@ -222,17 +224,17 @@ def _cyclic_failures(H, integral, arity):
     failures = set()
     for a, T in enumerate(integral.trace):
         chain, out = product_chain(H, a, legs, ("p",))
-        word = contract_network(chain + [T.relabel({"in": out})])
-        if entries(word) != entries(word.relabel(rotate)):
+        word = contract_network(chain + [T.relabel([out])])
+        if entries(word) != entries(rotate(word)):
             failures.add("trace")
     pi = H.pi
     splits = {}
     for grading in itertools.product(range(pi.order), repeat=arity):
         if functools.reduce(lambda s, g: pi.mul[s][g], grading, pi.identity) == pi.identity:
             chain, root = coproduct_chain(H, grading, legs, ("q",))
-            splits[grading] = contract_network(chain + [integral.cotrace.relabel({"out": root})])
+            splits[grading] = contract_network(chain + [integral.cotrace.relabel([root])])
     for grading, split in splits.items():
-        if entries(split) != entries(splits[grading[1:] + grading[:1]].relabel(rotate)):
+        if entries(split) != entries(rotate(splits[grading[1:] + grading[:1]])):
             failures.add("cotrace")
     return failures
 

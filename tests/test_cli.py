@@ -396,6 +396,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000,  # nested past the recursion limit
+    b"1" * 5_000,  # an integer over the int-to-str digit limit
+    b"\xff\xfe[]",  # not UTF-8
+], ids=["deep", "long-int", "not-utf8"])
+@pytest.mark.parametrize("argv", [["invariant", "--algebra", "kp", "--diagram"], ["validate-algebra"]],
+                         ids=["invariant", "validate-algebra"])
+def test_cli_hostile_json_is_an_input_error(tmp_path, capsys, content, argv):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON: ") and "Traceback" not in err
+
+
 def test_cli_uncolored_diagram_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(dump_diagram(lens_diagram(2))))

@@ -530,8 +530,8 @@ def test_iterated_delta_function_algebra(fs3, split):
 def test_empty_and_single_chains(kp):
     # The empty product is the unit and the empty coproduct the counit, each
     # on the fresh leg (*tag, 0); one leg needs no node and is its own end.
-    assert product_chain(kp, 1, [], ("u", 0)) == ([kp.unit[1].relabel({"out": ("u", 0, 0)})], ("u", 0, 0))
-    assert coproduct_chain(kp, (), [], ("d", 0)) == ([kp.counit.relabel({"in": ("d", 0, 0)})], ("d", 0, 0))
+    assert product_chain(kp, 1, [], ("u", 0)) == ([kp.unit[1].relabel([("u", 0, 0)])], ("u", 0, 0))
+    assert coproduct_chain(kp, (), [], ("d", 0)) == ([kp.counit.relabel([("d", 0, 0)])], ("d", 0, 0))
     assert product_chain(kp, 1, ["a"], ("u", 0)) == ([], "a")
     assert coproduct_chain(kp, (1,), ["a"], ("d", 0)) == ([], "a")
     # Three legs: two nodes, fresh legs (*tag, 1), (*tag, 2) and (*tag, 0), (*tag, 1).
@@ -540,7 +540,7 @@ def test_empty_and_single_chains(kp):
     assert out == ("u", 0, 2)
     chain, root = coproduct_chain(kp, (1, 1, 0), "abc", ("d", 0))
     assert [t.labels for t in chain] == [(("d", 0, 0), "a", ("d", 0, 1)), (("d", 0, 1), "b", "c")]
-    assert chain[0] == kp.delta[(1, 1)].relabel({"in": ("d", 0, 0), "out1": "a", "out2": ("d", 0, 1)})
+    assert chain[0] == kp.delta[(1, 1)].relabel([("d", 0, 0), "a", ("d", 0, 1)])
     assert root == ("d", 0, 0)
 
 

@@ -1,10 +1,12 @@
+import ast
 import functools
+import pathlib
 import random
 from dataclasses import replace
 
 import pytest
 
-from hopfk import hopf
+from hopfk import hopf, invariant
 from hopfk.fuzz import random_diagram, random_move_walk
 from hopfk.groups import (
     GroupHom,
@@ -265,6 +267,25 @@ def test_diagram_nodes_relabel_the_stored_tensors(kp, fs3, z2, is_zero_count):
                 assert calls == 0
                 shared = [n for n in nodes if id(n.data) in stored]
                 assert len(shared) == 2 * D.genus
+
+
+def test_diagram_nodes_build_one_crossing_map(kp, z2, monkeypatch):
+    # one crossing map per diagram, not one per lower circle
+    D = connected_sum(lens_diagram(2), lens_diagram(2)).with_colors(z2, (1, 1))
+    calls = []
+    crossing_map = Diagram.crossing_map
+    monkeypatch.setattr(Diagram, "crossing_map", lambda self: calls.append(1) or crossing_map(self))
+    diagram_nodes(kp, D)
+    assert len(calls) == 1
+
+
+def test_invariant_names_no_stored_leg():
+    # the network is built by position: invariant.py holds no leg label of
+    # hopf.LAYOUT, so only hopf.py knows the stored names
+    stored = {label for labels, _, _ in hopf.LAYOUT.values() for label in labels}
+    source = pathlib.Path(invariant.__file__).read_text()
+    assert not [node.value for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant) and node.value in stored]
 
 
 def test_vanishing_on_empty_support(z2):

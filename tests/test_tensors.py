@@ -96,7 +96,7 @@ def test_contract_dimension_mismatch():
 
 def test_relabel_permute(permute):
     m = matrix("r", "c", [[1, 2], [3, 4]])
-    t = permute(m.relabel({"r": "row"}), [1, 0])
+    t = permute(m.relabel(["row", "c"]), [1, 0])
     assert t.labels == ("c", "row")
     assert t.entry((1, 0)) == Scalar(2)
 
@@ -173,7 +173,15 @@ def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
 
 def test_relabel_shares_data():
     m = matrix("r", "c", [[1, 2], [3, 4]])
-    assert m.relabel({"r": "row"}).data is m.data
+    assert m.relabel(["row", "c"]).data is m.data
+
+
+@pytest.mark.parametrize("labels", ["r", "rcx", (), ["row", "col", "x"]],
+                         ids=["one-char", "three-chars", "none", "three-items"])
+def test_relabel_needs_one_label_per_leg(labels):
+    m = matrix("r", "c", [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 legs"):
+        m.relabel(labels)
 
 
 def test_entry_cap(monkeypatch):
@@ -276,6 +284,28 @@ def test_contract_called_only_in_tensors():
         and node.func.attr == "contract"
     ]
     assert not callers
+
+
+def test_relabel_never_takes_a_mapping():
+    # every network is built by position: no ``.relabel(...)`` call of the
+    # package passes a dict display, a dict comprehension or ``dict(...)``,
+    # so the stored leg names stay in hopf.py's LAYOUT.
+    package = pathlib.Path(hopfk.__file__).parent
+
+    def is_mapping(arg):
+        return isinstance(arg, (ast.Dict, ast.DictComp)) or (
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "dict")
+
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "relabel"
+        and any(map(is_mapping, [*node.args, *(k.value for k in node.keywords)]))
+    ]
+    assert not calls
 
 
 def test_no_rng_parameter_outside_fuzz():
