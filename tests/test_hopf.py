@@ -590,6 +590,107 @@ def test_coassociativity_files_one_violation(kp):
     assert coassociativity == ["coassociativity fails at (0,1,1) basis 0"]
 
 
+# Each case adds 1 to one entry of one structure map (or of T or C) and
+# lists messages the validator must file, verbatim.  Together with the
+# messages pinned elsewhere in this file, every check of the three
+# validators is pinned once.  kp has two 4-dimensional components, so an
+# index of H_1 differs from its index in H_tot; F(id-S3) names its
+# components by permutations, and its inverses differ.
+PINNED_MESSAGES = [
+    ("kp", "mul", 1, (1, 2, 0), ["associativity fails in H_1 at (1,2,1)"]),
+    ("kp", "mul", 1, (0, 1, 0), ["left unit fails in H_1 at basis 1"]),
+    ("kp", "mul", 1, (1, 0, 0), ["right unit fails in H_1 at basis 1"]),
+    ("conj", "delta", (1, 1), (0, 0, 0), ["coassociativity fails at ((2 3),(1 2),(1 2 3)) basis 0"]),
+    ("kp", "delta", (1, 0), (1, 0, 0), ["counit law (id x eps) fails in H_1 at 1"]),
+    ("kp", "delta", (0, 1), (1, 0, 0), ["counit law (eps x id) fails in H_1 at 1"]),
+    ("kp", "mul", 1, (0, 3, 0), ["antipode law (S x id) fails in H_1 at 1",
+                                 "antipode law (id x S) fails in H_1 at 1"]),
+    ("conj", "delta", (3, 1), (0, 0, 0), ["Delta((1 2 3),(2 3)) does not preserve the unit"]),
+    ("kp", "delta", (1, 1), (1, 0, 3), ["Delta(1,1) is not multiplicative at basis pair (1,1)"]),
+    ("kp", "unit", 0, (0,), ["counit of the unit is not 1"]),
+    ("kp", "mul", 0, (1, 1, 0), ["counit is not multiplicative at (1,1)"]),
+    ("kp", "antipode", 1, (1, 0), ["S_1 S_1 != id at basis 1"]),
+    ("conj", "antipode", 3, (0, 0), ["S_(1 3 2) S_(1 2 3) != id at basis 0"]),
+    ("conj", "unit", 3, (0,), ["S_(1 3 2) does not preserve the unit"]),
+    ("kp", "mul", 1, (1, 1, 0), ["S_1 is not anti-multiplicative at (1,1)"]),
+    ("kp", "antipode", 0, (1, 0), ["eps o S != eps at basis 1"]),
+    ("kp", "delta", (1, 1), (1, 0, 1), ["antipode is not anti-comultiplicative at (1,1) basis 1"]),
+    ("conj", "delta", (1, 3), (0, 0, 0), ["antipode is not anti-comultiplicative at ((1 3 2),(2 3)) basis 0"]),
+    ("kp", "trace", 1, (1,), ["(id x T) integral equation fails at basis pair (0 in H_0, 1 in H_1)",
+                              "(T x id) integral equation fails at basis pair (0 in H_0, 1 in H_1)",
+                              "T o S != T at basis 1 in H_1"]),
+    ("kp", "cotrace", None, (1,), ["C is not a left integral at basis 0 in H_0",
+                                   "C is not a right integral at basis 0 in H_0"]),
+    ("fs3", "cotrace", None, (1,), ["S(C) != C"]),
+    ("kp", "cotrace", None, (0,), ["eps(C) != dim of identity component"]),
+    ("kp", "trace", 0, (0,), ["T(C) != dim of identity component"]),
+    ("kp", "trace", 1, (0,), ["T(1) in H_1 differs from dim of H at identity",
+                              "trace product not cyclically symmetric in H_1 at (1, 2) (arity 2)"]),
+    ("kp", "crossing", (1, 1), (0, 1), ["phi_1 does not preserve the unit at basis 1 in H_1"]),
+    ("kp", "crossing", (1, 1), (1, 1), ["phi_1 is not multiplicative at basis pair (1 in H_1, 2 in H_1)"]),
+    ("kp", "crossing", (1, 1), (1, 0), ["phi_1 does not commute with S at basis 1 in H_1"]),
+    ("kp", "crossing", (1, 0), (1, 0), ["phi_1 does not preserve the counit at basis 1 in H_0"]),
+    ("kp", "crossing", (1, 0), (0, 0), ["phi_1 does not preserve Delta at basis 0 in H_0"]),
+    ("conj", "crossing", (1, 3), (0, 0),
+     ["crossing not multiplicative: phi_(2 3) o phi_(1 2) != phi_(1 3 2) at basis 0 in H_(1 3 2)"]),
+    ("kp", "crossing", (0, 1), (1, 0), ["phi_0 is not the identity at basis 1 in H_1"]),
+]
+
+
+@pytest.mark.parametrize("algebra, field, component, entry, messages", PINNED_MESSAGES)
+def test_violation_messages_verbatim(kp, fs3, s3, algebra, field, component, entry, messages):
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    H = {"kp": kp, "fs3": fs3,
+         "conj": replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))}[algebra]
+
+    def bump(t):
+        return GradedTensor(t.legs, {**t.data, entry: t.entry(entry) + ONE})
+
+    integral = derive_integral_data(H)
+    if field == "trace":
+        trace = list(integral.trace)
+        trace[component] = bump(trace[component])
+        violations = check_structural_lemmas(H, replace(integral, trace=tuple(trace))).violations
+    elif field == "cotrace":
+        violations = check_structural_lemmas(H, replace(integral, cotrace=bump(integral.cotrace))).violations
+    else:
+        stored = getattr(H, field)
+        mutant = replace(H, **{field: {**stored, component: bump(stored[component])}})
+        violations = (validate_crossing if field == "crossing" else validate_hopf)(mutant).violations
+    assert set(messages) <= set(violations), violations
+
+
+def test_violation_messages_verbatim_with_an_empty_identity_component():
+    # Z/2 with dim (0, 1): H_tot's basis vector 0 lies in H_1, past the
+    # empty H_0, and every coproduct is zero.
+    z2, dim = cyclic_group(2), (0, 1)
+
+    def tensor(field, key, data):
+        return structure_tensor(z2, dim, field, key, data)
+
+    H = HopfPiCoalgebra(
+        z2, dim,
+        mul={a: tensor("mul", a, {(i, i, i): ONE for i in range(dim[a])}) for a in range(2)},
+        unit={a: tensor("unit", a, {(i,): ONE for i in range(dim[a])}) for a in range(2)},
+        delta={(a, b): tensor("delta", (a, b), {}) for a in range(2) for b in range(2)},
+        counit=tensor("counit", None, {}),
+        antipode={a: tensor("antipode", a, {(i, i): ONE for i in range(dim[a])}) for a in range(2)},
+    )
+    assert validate_hopf(H).violations == [
+        "counit law (id x eps) fails in H_1 at 0",
+        "counit law (eps x id) fails in H_1 at 0",
+        "Delta(1,1) does not preserve the unit",
+        "identity component has dimension 0",
+    ]
+    assert check_structural_lemmas(H, derive_integral_data(H)).violations == [
+        "(id x T) integral equation fails at basis pair (0 in H_1, 0 in H_1)",
+        "(T x id) integral equation fails at basis pair (0 in H_1, 0 in H_1)",
+        "dim H_1 = 1 differs from identity component dimension 0",
+        "T(1) in H_1 differs from dim of H at identity",
+    ]
+    assert validate_crossing(H).warnings == ["crossing data not provided"]
+
+
 def test_validation_contracts_at_most_g_squared_entries(monkeypatch):
     # F(trivial-S4) is one component of dimension 24: no contraction of its
     # validation may hold more than 24^2 entries, as checking coassociativity
