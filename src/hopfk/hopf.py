@@ -69,9 +69,21 @@ class HopfPiCoalgebra:
 
     @functools.cached_property
     def integral_data(self) -> IntegralData:
-        """``derive_integral_data(self)``, kept after its first use; a
-        ``replace``d copy is a new object, which derives its own."""
-        return _derive_integral_data(self)
+        """T_a(x) is the trace of right multiplication by x on H_a; C is the
+        image of the trace of the identity under Delta_{1,1}: each a structure
+        tensor closed over two legs by the identity matrix, contracted by the
+        engine; ``trace`` is indexed by group element, like ``dim``.  Derived
+        once per algebra object, like ``total``; a ``replace``d copy derives
+        its own.  Each is rebuilt from its entries, so an entry equal to 1 is
+        the shared ``ONE`` (see ``GradedTensor``)."""
+        e = self.pi.identity
+        # Each tensor with its legs i and j closed by the identity matrix.
+        closed = [(self.mul[a], ("i", "in", "j"), self.dim[a]) for a in range(self.pi.order)]
+        closed.append((self.delta[(e, e)], ("i", "j", "out"), self.dim[e]))
+        derived = (contract_network([t.relabel(labels), GradedTensor.identity("i", "j", dim)])
+                   for t, labels, dim in closed)
+        *trace, cotrace = (GradedTensor(t.legs, t.data) for t in derived)
+        return IntegralData(tuple(trace), cotrace)
 
     @functools.cached_property
     def total(self):
@@ -171,17 +183,26 @@ def _direct_sum(offsets, labels, blocks) -> GradedTensor:
     return GradedTensor.from_stored([Leg(label, offsets[-1]) for label in labels], data)
 
 
-def _locate(offsets, key):
-    """The components of the basis vectors ``key`` of H_tot, and their
-    indices there."""
-    grades = tuple(bisect.bisect_right(offsets, i) - 1 for i in key)
-    return grades, tuple(i - offsets[a] for i, a in zip(key, grades))
+def _namer(H: HopfPiCoalgebra):
+    """How a violation names the basis vectors of H_tot (see ``H.total``):
+    ``name(i)`` is the name of the component of basis vector i, or with
+    ``invert`` of its inverse; ``local(key)`` the indices of the basis
+    vectors ``key`` in their components; ``at(i)`` the text "j in H_a"."""
+    offsets, names, inv = H.total[1], H.pi.names, H.pi.inverse
 
+    def grade(i):
+        return bisect.bisect_right(offsets, i) - 1
 
-def _basis(names, offsets, i) -> str:
-    """Basis vector i of H_tot, named by its component and its index there."""
-    (a,), (j,) = _locate(offsets, (i,))
-    return f"{j} in H_{names[a]}"
+    def name(i, invert=False):
+        return names[inv[grade(i)] if invert else grade(i)]
+
+    def local(key):
+        return tuple(i - offsets[grade(i)] for i in key)
+
+    def at(i):
+        return f"{local((i,))[0]} in H_{name(i)}"
+
+    return name, local, at
 
 
 # -- network identities --------------------------------------------------------
@@ -239,18 +260,9 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     Ht, offsets = H.total
     report = Report()
     check = _checker(report)
-    pi, names = H.pi, H.pi.names
-    e, inv = pi.identity, pi.inverse
+    name, local, _ = _namer(H)
     mul, unit, delta, S, eps = Ht.mul[0], Ht.unit[0], Ht.delta[(0, 0)], Ht.antipode[0], Ht.counit
     one = GradedTensor.identity("x", "y", offsets[-1])
-
-    def name(i, invert=False):
-        """The name of the component of basis vector i, or of its inverse."""
-        (a,), _ = _locate(offsets, (i,))
-        return names[inv[a] if invert else a]
-
-    def local(key):
-        return _locate(offsets, key)[1]
 
     # Associativity and unit.
     check(lambda k: f"associativity fails in H_{name(k[0])} at {_ix(local(k[:3]))}", "xyzo",
@@ -294,7 +306,7 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
           f"at basis pair {_ix(local(k[:2]))}", "xyjk",
           [mul.relabel("xym"), delta.relabel("mjk")],
           [delta.relabel("xac"), delta.relabel("ybd"), mul.relabel("abj"), mul.relabel("cdk")])
-    if H.dim[e] and _value(eps.relabel("i"), unit.relabel("i")) != ONE:
+    if H.dim_identity and _value(eps.relabel("i"), unit.relabel("i")) != ONE:
         report.fail("counit of the unit is not 1")
     check(lambda k: f"counit is not multiplicative at {_ix(local(k))}", "xy",
           [mul.relabel("xym"), eps.relabel("m")], [eps.relabel("x"), eps.relabel("y")])
@@ -362,7 +374,7 @@ def coproduct_chain(H: HopfPiCoalgebra, grading, legs, tag):
 @dataclass(frozen=True, eq=False)
 class IntegralData:
     """Trace forms T_a and the cotrace C used by the diagram invariant (see
-    ``derive_integral_data``).  One object is shared by every caller on an
+    ``HopfPiCoalgebra.integral_data``).  One object is shared by every caller on an
     algebra, so it is read-only; ``replace`` makes a changed copy."""
 
     trace: tuple  # a -> T_a, a covector on H_a with leg "in"
@@ -370,28 +382,8 @@ class IntegralData:
 
 
 def derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
-    """T_a(x) is the trace of right multiplication by x on H_a; C is the
-    image of the trace of the identity under Delta_{1,1}.
-
-    Each is a structure tensor closed over two legs by the identity
-    matrix, contracted by the engine, and stored as the sparse tensor the
-    engine consumes: ``trace`` is indexed by group element, like
-    ``H.dim``.  They are properties of the algebra, so they are derived
-    once per algebra object, on the first call, and every later call
-    returns the same ``IntegralData``.  Each is rebuilt from its entries,
-    so an entry equal to 1 is the shared ``ONE`` (see ``GradedTensor``)."""
+    """``H.integral_data``: the same object on every call on one algebra."""
     return H.integral_data
-
-
-def _derive_integral_data(H: HopfPiCoalgebra) -> IntegralData:
-    e = H.pi.identity
-    # Each tensor with its legs i and j closed by the identity matrix.
-    closed = [(H.mul[a], ("i", "in", "j"), H.dim[a]) for a in range(H.pi.order)]
-    closed.append((H.delta[(e, e)], ("i", "j", "out"), H.dim[e]))
-    derived = (contract_network([t.relabel(labels), GradedTensor.identity("i", "j", dim)])
-               for t, labels, dim in closed)
-    *trace, cotrace = (GradedTensor(t.legs, t.data) for t in derived)
-    return IntegralData(tuple(trace), cotrace)
 
 
 def check_structural_lemmas(
@@ -414,7 +406,7 @@ def check_structural_lemmas(
     # The linear identities hold on H_tot (see ``H.total``), block by block,
     # with T_tot the sum of the T_a and C in the block of H_1.
     Ht, offsets = H.total
-    at = functools.partial(_basis, names, offsets)
+    name, local, at = _namer(H)
     mul, delta, S = Ht.mul[0], Ht.delta[(0, 0)], Ht.antipode[0]
     T_tot = _direct_sum(offsets, ("in",), [((a,), t) for a, t in enumerate(T)])
     C_tot = _direct_sum(offsets, ("out",), [((e,), C)])
@@ -456,13 +448,9 @@ def check_structural_lemmas(
 
     # Cyclic symmetry at arity 2 on H_tot; block by block, T_a(xy) = T_a(yx)
     # in each H_a, and Delta_{a,b}(C) against Delta_{b,a}(C), legs swapped.
-    def grades(key):
-        return tuple(names[a] for a in _locate(offsets, key)[0])
-
-    check(lambda k: f"trace product not cyclically symmetric in H_{grades(k)[0]} at "
-          f"{_locate(offsets, k)[1]} (arity 2)",
+    check(lambda k: f"trace product not cyclically symmetric in H_{name(k[0])} at {local(k)} (arity 2)",
           "xy", [mul.relabel("xym"), T_tot.relabel("m")], [mul.relabel("yxm"), T_tot.relabel("m")])
-    check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading {grades(k)}",
+    check(lambda k: f"iterated coproduct of C not cyclically symmetric for grading {tuple(map(name, k))}",
           "xy", [C_tot.relabel("c"), delta.relabel("cxy")], [C_tot.relabel("c"), delta.relabel("cyx")])
 
     return report
@@ -634,7 +622,7 @@ def validate_crossing(H: HopfPiCoalgebra) -> Report:
     Ht, offsets = H.total
     check = _checker(report)
     pi, names = H.pi, H.pi.names
-    at = functools.partial(_basis, names, offsets)
+    _, _, at = _namer(H)
     mul, unit, delta, S, eps = Ht.mul[0], Ht.unit[0], Ht.delta[(0, 0)], Ht.antipode[0], Ht.counit
     els, grades = range(pi.order), LAYOUT["crossing"][2]
     phi = [_direct_sum(offsets, ("in", "out"), [(grades(pi, (b, a)), H.crossing[b, a])
