@@ -110,6 +110,16 @@ def _dump_tensor(t: GradedTensor):
     return nest(())
 
 
+def _digits(text):
+    """The value of ``text`` if it is a string of ASCII digits, else None.
+    A value above ``MAX_GROUP_ORDER``, the largest any caller accepts, comes
+    back as ``MAX_GROUP_ORDER + 1``: int() reads at most four digits, so a
+    digit string of any length is an input error like any other."""
+    if not (isinstance(text, str) and text.isdigit() and text.isascii()):
+        return None
+    return min(int(text.lstrip("0")[:4] or "0"), MAX_GROUP_ORDER + 1)
+
+
 def _check_order(name, order):
     if order > MAX_GROUP_ORDER:
         raise DataFormatError(
@@ -152,21 +162,17 @@ def parse_group(data) -> GroupTable:
 
 def builtin_group(name: str) -> GroupTable:
     key = name.strip().lower()
-    for prefix in ("z", "cyclic-"):
-        if key.startswith(prefix) and key[len(prefix):].isdigit() and key.isascii():
-            n = int(key[len(prefix):])
-            if n < 1:
-                raise DataFormatError(f"group {name!r} needs order >= 1")
-            _check_order(name, n)
-            return cyclic_group(n)
-    for prefix in ("s", "symmetric-"):
-        if key.startswith(prefix) and key[len(prefix):].isdigit() and key.isascii():
-            n = int(key[len(prefix):])
-            if n < 1:
-                raise DataFormatError(f"group {name!r} needs degree >= 1")
-            # Any n above the limit fails anyway (n! >= n), so cap n before the factorial.
-            _check_order(name, math.factorial(min(n, MAX_GROUP_ORDER)))
-            return symmetric_group(n)
+    cyclic, symmetric = (cyclic_group, "order", lambda n: n), (symmetric_group, "degree", math.factorial)
+    for prefix, (build, parameter, order) in (
+        ("z", cyclic), ("cyclic-", cyclic), ("s", symmetric), ("symmetric-", symmetric)
+    ):
+        n = _digits(key[len(prefix):]) if key.startswith(prefix) else None
+        if n is None:
+            continue
+        if n < 1:
+            raise DataFormatError(f"group {name!r} needs {parameter} >= 1")
+        _check_order(name, order(n))
+        return build(n)
     raise UnknownNameError(f"unknown group name {name!r}")
 
 
@@ -179,8 +185,9 @@ def element_index(pi: GroupTable, label) -> int:
         raise DataFormatError(f"group element index {label} out of range")
     if label in pi.names:
         return pi.names.index(label)
-    if isinstance(label, str) and label.isdigit() and label.isascii() and int(label) < pi.order:
-        return int(label)
+    index = _digits(label)
+    if index is not None and index < pi.order:
+        return index
     raise DataFormatError(f"unknown group element {label!r}")
 
 
@@ -192,11 +199,11 @@ def builtin_hom(name: str) -> GroupHom:
     if key in ("sign-s3", "sign"):
         return sign_hom_s3()
     if key.startswith("mod") and "-z" in key:
-        m_part, n_part = key[3:].split("-z", 1)
-        if m_part.isdigit() and n_part.isdigit() and key.isascii():
-            _check_order(name, int(n_part))
+        m, n = map(_digits, key[3:].split("-z", 1))
+        if m is not None and n is not None:
+            _check_order(name, n)
             try:
-                return mod_hom(int(n_part), int(m_part))
+                return mod_hom(n, m)
             except ValueError as exc:
                 raise DataFormatError(str(exc)) from exc
     if key.startswith("trivial-"):

@@ -147,6 +147,8 @@ def parse_scalar(text: str) -> Scalar:
         return Scalar(re_part or 0, im_part or 0)
     except ZeroDivisionError as exc:
         raise ScalarParseError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # a numeral longer than int() converts
+        raise ScalarParseError(f"too many digits in a scalar of {len(s)} characters") from exc
 
 
 def _format_rational(value: Fraction) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -117,7 +118,10 @@ class GradedTensor:
     # -- structural operations ----------------------------------------------
 
     def relabel(self, labels) -> "GradedTensor":
-        """Rename the legs, in stored order, to ``labels`` (a string gives one per character)."""
+        """Rename the legs, in stored order, to ``labels`` (a string gives one
+        per character).  A mapping is refused: it would be read as its keys."""
+        if isinstance(labels, Mapping):
+            raise TypeError("relabel takes the new labels in stored leg order, not a mapping")
         labels = tuple(labels)
         if len(labels) != len(self.legs):
             raise ValueError(f"{len(labels)} labels for {len(self.legs)} legs")

@@ -411,6 +411,31 @@ def test_cli_hostile_json_is_an_input_error(tmp_path, capsys, content, argv):
     assert err.startswith(f"error: {path} is not valid JSON: ") and "Traceback" not in err
 
 
+NINES = "9" * 5_000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("site", ["builtin_group", "builtin_hom", "element_index", "parse_scalar"])
+def test_cli_digit_string_of_any_length_is_an_input_error(tmp_path, capsys, site):
+    diagram = tmp_path / "d.json"
+    diagram.write_text(json.dumps(dump_diagram(lens_diagram(1))))
+    if site == "builtin_group":
+        argv = ["colorings", "--group", f"z{NINES}", "--diagram", str(diagram)]
+    elif site == "builtin_hom":
+        argv = ["oracle-compare", "--phi", f"mod2-z{NINES}", "--diagram", str(diagram)]
+    elif site == "element_index":
+        diagram.write_text(json.dumps({**dump_diagram(lens_diagram(1)), "colors": [NINES]}))
+        argv = ["invariant", "--algebra", "kp", "--diagram", str(diagram)]
+    else:
+        record = dump_algebra(builtin_algebra("fun-trivial-z2"))
+        record["unit"]["0"][0] = NINES
+        algebra = tmp_path / "a.json"
+        algebra.write_text(json.dumps(record))
+        argv = ["validate-algebra", str(algebra)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "set_int_max_str_digits" not in err
+
+
 def test_cli_uncolored_diagram_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(dump_diagram(lens_diagram(2))))

@@ -184,6 +184,14 @@ def test_relabel_needs_one_label_per_leg(labels):
         m.relabel(labels)
 
 
+def test_relabel_refuses_a_mapping():
+    # a dict would be read as its keys: {"in": "x"} on a one-leg tensor
+    # would rename the leg to "in"
+    trace = GradedTensor((Leg("in", 2),), {(0,): ONE})
+    with pytest.raises(TypeError, match="not a mapping"):
+        trace.relabel({"in": "x"})
+
+
 def test_entry_cap(monkeypatch):
     big = matrix("a", "b", [[1] * 4] * 4)
     other = matrix("b", "c", [[1] * 4] * 4)
