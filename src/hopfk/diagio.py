@@ -111,10 +111,8 @@ def _dump_tensor(t: GradedTensor):
 
 
 def _digits(text):
-    """The value of ``text`` if it is a string of ASCII digits, else None.
-    A value above ``MAX_GROUP_ORDER``, the largest any caller accepts, comes
-    back as ``MAX_GROUP_ORDER + 1``: int() reads at most four digits, so a
-    digit string of any length is an input error like any other."""
+    """The value of ``text`` if it is a string of ASCII digits, else None.  A value above
+    ``MAX_GROUP_ORDER`` comes back as ``MAX_GROUP_ORDER + 1``; int() reads at most four digits."""
     if not (isinstance(text, str) and text.isdigit() and text.isascii()):
         return None
     return min(int(text.lstrip("0")[:4] or "0"), MAX_GROUP_ORDER + 1)

@@ -111,9 +111,8 @@ def random_move(rng, D: Diagram) -> MoveSpec:
 
 
 def random_move_walk(rng, D: Diagram, steps: int, max_crossings: int = 28):
-    """Apply up to ``steps`` random applicable moves, capping growth;
-    returns the list of ``(move, diagram)`` pairs, one per move applied,
-    each diagram the result of applying its move to the one before."""
+    """Apply up to ``steps`` random applicable moves, capping growth; returns
+    the list of ``(move, diagram)`` pairs, the diagram each move gives, in order."""
     out = []
     for _ in range(steps):
         for _attempt in range(30):

@@ -118,8 +118,7 @@ class GradedTensor:
     # -- structural operations ----------------------------------------------
 
     def relabel(self, labels) -> "GradedTensor":
-        """Rename the legs, in stored order, to ``labels`` (a string gives one
-        per character).  A mapping is refused: it would be read as its keys."""
+        """Rename the legs, in stored order, to ``labels`` (a string gives one per character)."""
         if isinstance(labels, Mapping):
             raise TypeError("relabel takes the new labels in stored leg order, not a mapping")
         labels = tuple(labels)
