@@ -218,18 +218,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clip(exc) -> str:
+    """The message of ``exc``; one over 1,000 characters, which may quote a
+    whole input, as its first 1,000 and its length."""
+    text = str(exc)
+    return text if len(text) <= 1000 else f"{text[:1000]}… ({len(text)} characters)"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(exc)}", file=sys.stderr)
         return 2
     except (EntryCapExceeded, SearchSpaceExceeded) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        print(f"resource error: {_clip(exc)}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(exc)}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ from .hopf import (
     build_kac_paljutkin,
     check_shapes,
     component_key,
-    structure_legs,
+    structure_dims,
     structure_maps,
     structure_tensor,
 )
@@ -82,7 +82,7 @@ def _parse_scalar(node, where) -> Scalar:
 def _parse_tensor(node, pi, dim, field, key, where) -> GradedTensor:
     """A structure map from its dense nested-array form; the nesting must
     match the leg dimensions that ``dim`` prescribes."""
-    dims = [leg.dim for leg in structure_legs(pi, dim, field, key)]
+    dims = structure_dims(pi, dim, field, key)
     data = {}
 
     def walk(node, index):
@@ -100,12 +100,10 @@ def _parse_tensor(node, pi, dim, field, key, where) -> GradedTensor:
 
 def _dump_tensor(t: GradedTensor):
     """The dense nested-array form of a tensor, zeros included."""
-    dims = [leg.dim for leg in t.legs]
-
     def nest(index):
-        if len(index) == len(dims):
+        if len(index) == len(t.dims):
             return format_scalar(t.entry(index))
-        return [nest(index + (i,)) for i in range(dims[len(index)])]
+        return [nest(index + (i,)) for i in range(t.dims[len(index)])]
 
     return nest(())
 

@@ -19,7 +19,7 @@ from .heegaard import (
     lens_diagram,
     validate_diagram,
 )
-from .hopf import LAYOUT, HopfPiCoalgebra, component_key, structure_legs
+from .hopf import LAYOUT, HopfPiCoalgebra, component_key, structure_dims
 from .scalars import ONE, ZERO
 from .tensors import GradedTensor
 
@@ -140,7 +140,7 @@ def _bump(t: GradedTensor, key) -> GradedTensor:
     """``t`` with the entry at ``key`` increased by one."""
     data = dict(t.data)
     data[key] = data.get(key, ZERO) + ONE
-    return GradedTensor(t.legs, data)
+    return GradedTensor(t.labels, t.dims, data)
 
 
 def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
@@ -150,10 +150,10 @@ def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
     field = rng.choice(("mul", "unit", "delta", "counit", "antipode"))
     _, arity, _ = LAYOUT[field]
     key = component_key([rng.choice(support) for _ in range(arity)])
-    legs = structure_legs(H.pi, H.dim, field, key)
-    if not all(leg.dim for leg in legs):
+    dims = structure_dims(H.pi, H.dim, field, key)
+    if not all(dims):
         return mutate_algebra(H, rng)
-    path = tuple(rng.randrange(leg.dim) for leg in legs)
+    path = tuple(rng.randrange(d) for d in dims)
     stored = getattr(H, field)
     bumped = _bump(stored if key is None else stored[key], path)
     mutated = bumped if key is None else {**stored, key: bumped}

@@ -179,11 +179,14 @@ def validate_diagram(D: Diagram) -> Report:
         return report
 
     if D.colored:
+        if D.pi is None:
+            report.fail("colored diagram carries no group")
+            return report
         if len(D.colors) != g:
             report.fail("color vector length differs from genus")
             return report
         for k, a in enumerate(D.colors):
-            if not (0 <= a < D.pi.order):
+            if not (isinstance(a, int) and 0 <= a < D.pi.order):
                 report.fail(f"color of upper circle {k} out of range")
                 return report
         for i, w in enumerate(extract_words(D)):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 from .groups import GroupHom, GroupTable, Report, cyclic_group, trivial_group, validate_hom
 from .scalars import ONE, I, Scalar
-from .tensors import GradedTensor, Leg, contract_network, projection
+from .tensors import GradedTensor, contract_network, projection
 
 
 class StructureError(ValueError):
@@ -82,7 +82,7 @@ class HopfPiCoalgebra:
         closed.append((self.delta[(e, e)], ("i", "j", "out"), self.dim[e]))
         derived = (contract_network([t.relabel(labels), GradedTensor.identity("i", "j", dim)])
                    for t, labels, dim in closed)
-        *trace, cotrace = (GradedTensor(t.legs, t.data) for t in derived)
+        *trace, cotrace = (GradedTensor(t.labels, t.dims, t.data) for t in derived)
         return IntegralData(tuple(trace), cotrace)
 
     @functools.cached_property
@@ -142,29 +142,28 @@ def structure_maps(H: HopfPiCoalgebra):
             yield field, key, stored.get(key)
 
 
-def structure_legs(pi: GroupTable, dim, field, key=None) -> tuple:
-    """The legs ``LAYOUT`` gives the structure map ``field`` at ``key``."""
+def structure_dims(pi: GroupTable, dim, field, key=None) -> tuple:
+    """The leg dimensions ``LAYOUT`` gives the structure map ``field`` at ``key``."""
     if len(dim) != pi.order:
         raise StructureError("dim list length differs from group order")
-    labels, _, grades = LAYOUT[field]
-    return tuple(Leg(label, dim[a]) for label, a in zip(labels, grades(pi, key)))
+    return tuple(dim[a] for a in LAYOUT[field][2](pi, key))
 
 
 def structure_tensor(pi: GroupTable, dim, field, key, data) -> GradedTensor:
     """A structure map with its fixed legs; ``data`` maps keys to entries."""
-    return GradedTensor(structure_legs(pi, dim, field, key), data)
+    return GradedTensor(LAYOUT[field][0], structure_dims(pi, dim, field, key), data)
 
 
 def check_shapes(H: HopfPiCoalgebra):
     """Raise StructureError if ``dim`` does not fit the group, or if a
-    component of ``structure_maps`` is missing, has legs other than
-    ``structure_legs`` prescribes, or stores a key out of range."""
+    component of ``structure_maps`` is missing, has labels or dims other
+    than ``LAYOUT`` prescribes, or stores a key out of range."""
     for field, key, t in structure_maps(H):
-        legs = structure_legs(H.pi, H.dim, field, key)
+        dims = structure_dims(H.pi, H.dim, field, key)
         if t is None:
             raise StructureError(f"missing {field} component at {key}")
-        if t.legs != legs or not all(
-            len(k) == len(legs) and all(0 <= i < leg.dim for i, leg in zip(k, legs))
+        if (t.labels, t.dims) != (LAYOUT[field][0], dims) or not all(
+            len(k) == len(dims) and all(0 <= i < d for i, d in zip(k, dims))
             for k in t.data
         ):
             raise StructureError(f"{field} shape mismatch at {key}")
@@ -180,7 +179,7 @@ def _direct_sum(offsets, labels, blocks) -> GradedTensor:
     for components, t in blocks:
         shift = [offsets[a] for a in components]
         data.update({tuple(i + s for i, s in zip(key, shift)): v for key, v in t.data.items()})
-    return GradedTensor.from_stored([Leg(label, offsets[-1]) for label in labels], data)
+    return GradedTensor.from_stored(labels, (offsets[-1],) * len(labels), data)
 
 
 def _namer(H: HopfPiCoalgebra):
@@ -279,7 +278,7 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
     for key, v in delta.data.items():
         rows.setdefault(key[0], {})[key] = v
     for x in sorted(rows):
-        row = GradedTensor.from_stored(delta.legs, rows[x])
+        row = GradedTensor.from_stored(delta.labels, delta.dims, rows[x])
         if not check(lambda k: f"coassociativity fails at ({name(k[1])},{name(k[2])},"
                      f"{name(k[3])}) basis {local(k)[0]}", "xjkl",
                      [delta.relabel("mjk"), row.relabel("xml")],
@@ -593,7 +592,7 @@ def dual_variants(H: HopfPiCoalgebra, kind: str) -> HopfPiCoalgebra:
     involutory algebra it is stored already, as S_a^-1 = S_{a^-1}."""
     pi, inv, els = H.pi, H.pi.inverse, range(H.pi.order)
     if kind == "opposite":
-        mul = {a: GradedTensor(t.legs, {(j, i, k): v for (i, j, k), v in t.data.items()})
+        mul = {a: GradedTensor(t.labels, t.dims, {(j, i, k): v for (i, j, k), v in t.data.items()})
                for a, t in H.mul.items()}
         return replace(H, mul=mul, crossing=None)
     if kind == "coopposite":

@@ -1,18 +1,18 @@
 """Sparse exact tensors with labeled legs.
 
-A ``GradedTensor`` holds Q(i) entries indexed by tuples of basis indices,
-one per leg.  Legs carry a label (used to match contraction partners) and
-a dimension.  Entries equal to zero are never stored, which matters
-because the structure-constant tensors of the algebras we contract are
-very sparse.
+A ``GradedTensor`` is its ``labels`` and ``dims``, two tuples with one
+entry per leg, and its Q(i) entries, indexed by tuples of basis indices in
+leg order.  A label matches contraction partners; no two legs of a tensor
+share one.  Entries equal to zero are never stored, which matters because
+the structure-constant tensors of the algebras we contract are very sparse.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .scalars import ONE, ZERO, Scalar
@@ -40,12 +40,6 @@ def entry_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Leg:
-    label: object
-    dim: int
-
-
 def projection(indices):
     """The C-level getter ``key -> tuple(key[i] for i in indices)``.
 
@@ -68,9 +62,12 @@ class GradedTensor:
     and share their ``data`` dict.  ``contract`` stores its products as
     computed (see there)."""
 
-    def __init__(self, legs, data=None):
-        self.legs = tuple(legs)
-        self.labels = tuple(leg.label for leg in self.legs)
+    def __init__(self, labels, dims, data=None):
+        self.labels, self.dims = tuple(labels), tuple(dims)
+        if len(self.labels) != len(self.dims):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.dims)} legs")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"repeated leg label in {self.labels!r}")
         self.data = {}
         if data:
             for key, value in data.items():
@@ -80,38 +77,34 @@ class GradedTensor:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_stored(cls, legs, data) -> "GradedTensor":
-        """A tensor on ``legs`` that takes the dict ``data`` as it is: its
-        entries are stored entries of other tensors, so nonzero, and are not
-        tested again."""
-        out = cls(legs)
+    def from_stored(cls, labels, dims, data) -> "GradedTensor":
+        """A tensor on ``labels`` and ``dims`` that takes the dict ``data`` as
+        it is: its entries are stored entries of other tensors, so nonzero,
+        and are not tested again."""
+        out = cls(labels, dims)
         out.data = data
         return out
 
     @classmethod
     def identity(cls, x, y, dim) -> "GradedTensor":
         """The identity matrix with rows on leg ``x`` and columns on leg ``y``."""
-        return cls((Leg(x, dim), Leg(y, dim)), {(i, i): ONE for i in range(dim)})
+        return cls((x, y), (dim, dim), {(i, i): ONE for i in range(dim)})
 
     # -- basic queries -----------------------------------------------------
 
     def size(self) -> int:
-        n = 1
-        for leg in self.legs:
-            n *= leg.dim
-        return n
+        return math.prod(self.dims)
 
     def axis(self, label) -> int:
-        for i, leg in enumerate(self.legs):
-            if leg.label == label:
-                return i
-        raise KeyError(f"no leg labeled {label!r}")
+        if label not in self.labels:
+            raise KeyError(f"no leg labeled {label!r}")
+        return self.labels.index(label)
 
     def entry(self, key) -> Scalar:
         return self.data.get(tuple(key), ZERO)
 
     def as_scalar(self) -> Scalar:
-        if self.legs:
+        if self.labels:
             raise ValueError("tensor still has open legs")
         return self.data.get((), ZERO)
 
@@ -121,10 +114,7 @@ class GradedTensor:
         """Rename the legs, in stored order, to ``labels`` (a string gives one per character)."""
         if isinstance(labels, Mapping):
             raise TypeError("relabel takes the new labels in stored leg order, not a mapping")
-        labels = tuple(labels)
-        if len(labels) != len(self.legs):
-            raise ValueError(f"{len(labels)} labels for {len(self.legs)} legs")
-        return GradedTensor.from_stored(map(Leg, labels, (leg.dim for leg in self.legs)), self.data)
+        return GradedTensor.from_stored(labels, self.dims, self.data)
 
     # -- contraction ---------------------------------------------------------
 
@@ -147,25 +137,24 @@ class GradedTensor:
         and a cancelled key is deleted, so the result stores no zero either.
         """
         shared = set(self.labels) & set(other.labels)
-        my_keep = [i for i, leg in enumerate(self.legs) if leg.label not in shared]
-        my_pair = [i for i, leg in enumerate(self.legs) if leg.label in shared]
-        ot_keep = [i for i, leg in enumerate(other.legs) if leg.label not in shared]
-        ot_pair = {other.legs[i].label: i for i in range(len(other.legs)) if other.legs[i].label in shared}
-        pair_ot = [ot_pair[self.legs[i].label] for i in my_pair]
+        my_keep = [i for i, label in enumerate(self.labels) if label not in shared]
+        my_pair = [i for i, label in enumerate(self.labels) if label in shared]
+        ot_keep = [i for i, label in enumerate(other.labels) if label not in shared]
+        ot_pair = {label: i for i, label in enumerate(other.labels) if label in shared}
+        pair_ot = [ot_pair[self.labels[i]] for i in my_pair]
         for i, j in zip(my_pair, pair_ot):
-            if self.legs[i].dim != other.legs[j].dim:
-                raise ValueError(
-                    f"leg {self.legs[i].label!r} dimension mismatch: "
-                    f"{self.legs[i].dim} vs {other.legs[j].dim}"
-                )
-        legs = tuple(self.legs[i] for i in my_keep) + tuple(other.legs[j] for j in ot_keep)
-        limit = entry_cap()
-        out = GradedTensor(legs)
+            if self.dims[i] != other.dims[j]:
+                raise ValueError(f"leg {self.labels[i]!r} dimension mismatch: "
+                                 f"{self.dims[i]} vs {other.dims[j]}")
         # Hash-join on the shared index values.  The two bucket keys need only
         # agree with each other; the kept parts are concatenated, so tuples.
         my_bucket, ot_bucket = (itemgetter(*pair) if pair else projection(pair)
                                 for pair in (my_pair, pair_ot))
         my_part, ot_part = projection(my_keep), projection(ot_keep)
+        labels = my_part(self.labels) + ot_part(other.labels)
+        dims = my_part(self.dims) + ot_part(other.dims)
+        limit = entry_cap()
+        out = GradedTensor(labels, dims)
         buckets = {}
         for key, value in other.data.items():
             buckets.setdefault(ot_bucket(key), []).append((ot_part(key), value))
@@ -177,8 +166,8 @@ class GradedTensor:
                 continue
             products += len(hits)
             if products > limit:
-                open_legs = ", ".join(f"{leg.label!r} (dim {leg.dim})" for leg in legs)
-                summed = ", ".join(repr(self.legs[i].label) for i in my_pair)
+                open_legs = ", ".join(f"{label!r} (dim {dim})" for label, dim in zip(labels, dims))
+                summed = ", ".join(repr(self.labels[i]) for i in my_pair)
                 raise EntryCapExceeded(
                     f"contraction would compute at least {products} products (cap {limit}); "
                     f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
@@ -203,7 +192,7 @@ class GradedTensor:
     def __eq__(self, other):
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        return self.legs == other.legs and self.data == other.data
+        return (self.labels, self.dims, self.data) == (other.labels, other.dims, other.data)
 
     def __repr__(self):
         return f"GradedTensor(legs={self.labels}, nnz={len(self.data)})"
@@ -233,7 +222,7 @@ def contract_network(nodes) -> GradedTensor:
     pool = list(nodes)
     if len(pool) > 2:
         pool = _contract_greedy(pool)
-    result = pool[0] if pool else GradedTensor((), {(): ONE})
+    result = pool[0] if pool else GradedTensor((), (), {(): ONE})
     for t in pool[1:]:
         result = result.contract(t)
     return result
@@ -243,9 +232,9 @@ def _merged_size(a: GradedTensor, b: GradedTensor) -> int:
     """Dense size of the legs ``a.contract(b)`` leaves open."""
     shared = set(a.labels) & set(b.labels)
     size = 1
-    for leg in a.legs + b.legs:
-        if leg.label not in shared:
-            size *= leg.dim
+    for label, dim in zip(a.labels + b.labels, a.dims + b.dims):
+        if label not in shared:
+            size *= dim
     return size
 
 

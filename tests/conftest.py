@@ -15,7 +15,7 @@ from hopfk import (
 )
 from hopfk.hopf import coproduct_chain, product_chain
 from hopfk.scalars import ONE, Scalar
-from hopfk.tensors import GradedTensor, Leg, contract_network
+from hopfk.tensors import GradedTensor, contract_network
 
 
 @pytest.fixture(scope="session")
@@ -68,9 +68,9 @@ def _scan_network(nodes, pick=min):
                 if not shared:
                     continue
                 size = 1
-                for leg in pool[a].legs + pool[b].legs:
-                    if leg.label not in shared:
-                        size *= leg.dim
+                for label, dim in zip(pool[a].labels + pool[b].labels, pool[a].dims + pool[b].dims):
+                    if label not in shared:
+                        size *= dim
                 candidates.append((size, a, b))
         if not candidates:
             break
@@ -78,7 +78,7 @@ def _scan_network(nodes, pick=min):
         merged = pool[a].contract(pool[b])
         pool = [t for i, t in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
-    result = pool[0] if pool else GradedTensor((), {(): ONE})
+    result = pool[0] if pool else GradedTensor((), (), {(): ONE})
     for t in pool[1:]:
         result = result.contract(t)
     return result
@@ -112,7 +112,7 @@ def contraction_log(monkeypatch):
 
 def _vector(label, values):
     """One leg labeled ``label`` carrying the coefficient sequence ``values``."""
-    return GradedTensor((Leg(label, len(values)),), {(i,): v for i, v in enumerate(values)})
+    return GradedTensor((label,), (len(values),), {(i,): v for i, v in enumerate(values)})
 
 
 @pytest.fixture(scope="session")
@@ -123,7 +123,8 @@ def vector():
 def _permute(t, order):
     """``t`` with its legs reordered; ``order`` lists old axis positions."""
     return GradedTensor(
-        tuple(t.legs[i] for i in order),
+        tuple(t.labels[i] for i in order),
+        tuple(t.dims[i] for i in order),
         {tuple(key[i] for i in order): v for key, v in t.data.items()},
     )
 
@@ -187,7 +188,7 @@ def _fresh_units(H):
     each fresh ``Scalar(1)`` as ``ONE`` again."""
 
     def fresh(t):
-        return GradedTensor.from_stored(t.legs, {k: Scalar(1) if v is ONE else v for k, v in t.data.items()})
+        return GradedTensor.from_stored(t.labels, t.dims, {k: Scalar(1) if v is ONE else v for k, v in t.data.items()})
 
     blocks = {
         field: {key: fresh(t) for key, t in getattr(H, field).items()}

@@ -443,6 +443,20 @@ def test_cli_uncolored_diagram_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_long_error_message_is_cut(tmp_path, rp3_file, capsys):
+    # the message quotes the whole 300,000-element genus; stderr shows its
+    # first 1,000 characters and its length
+    data = json.loads(pathlib.Path(rp3_file).read_text())
+    data["genus"] = [0] * 300_000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    assert main(["invariant", "--algebra", "kp", "--diagram", str(path)]) == 2
+    err = capsys.readouterr().err
+    message = f"genus must be an integer, got {data['genus']}"
+    assert err == f"error: {message[:1000]}… ({len(message)} characters)\n"
+    assert len(err.encode()) < 1100
+
+
 def test_cli_json_deterministic(rp3_file, capsys):
     argv = ["invariant", "--algebra", "kp", "--diagram", rp3_file, "--json"]
     main(argv)

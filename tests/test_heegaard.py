@@ -111,6 +111,15 @@ def test_euler_flags_overcrowded_torus():
     assert report.passed == (demanded <= 1)
 
 
+@pytest.mark.parametrize("colors, pi, violation", [
+    ((0,), None, "colored diagram carries no group"),
+    (("0",), cyclic_group(2), "color of upper circle 0 out of range"),
+], ids=["no-group", "string-color"])
+def test_bad_colors_are_reported_not_raised(colors, pi, violation):
+    report = validate_diagram(replace(lens_diagram(2), colors=colors, pi=pi))
+    assert not report.passed and report.violations == [violation]
+
+
 def test_colorings(z2, s3):
     assert enumerate_colorings(lens_diagram(2), z2) == [(0,), (1,)]
     assert enumerate_colorings(lens_diagram(3), z2) == [(0,)]

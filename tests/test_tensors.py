@@ -19,7 +19,6 @@ from hopfk.tensors import (
     DEFAULT_ENTRY_CAP,
     EntryCapExceeded,
     GradedTensor,
-    Leg,
     contract_network,
     entry_cap,
 )
@@ -27,14 +26,16 @@ from hopfk.tensors import (
 
 def vec(label, values):
     return GradedTensor(
-        (Leg(label, len(values)),),
+        (label,),
+        (len(values),),
         {(i,): Scalar(v) for i, v in enumerate(values)},
     )
 
 
 def matrix(l1, l2, rows):
     return GradedTensor(
-        (Leg(l1, len(rows)), Leg(l2, len(rows[0]))),
+        (l1, l2),
+        (len(rows), len(rows[0])),
         {
             (i, j): Scalar(v)
             for i, row in enumerate(rows)
@@ -50,29 +51,29 @@ def test_zero_entries_not_stored():
 
 
 def test_scalar_tensor():
-    assert GradedTensor((), {(): Scalar(5)}).as_scalar() == Scalar(5)
-    assert GradedTensor((), {(): ZERO}).as_scalar() == ZERO
+    assert GradedTensor((), (), {(): Scalar(5)}).as_scalar() == Scalar(5)
+    assert GradedTensor((), (), {(): ZERO}).as_scalar() == ZERO
     with pytest.raises(ValueError):
         vec("a", [1]).as_scalar()
 
 
 def test_given_unit_entries_are_stored_as_the_shared_one():
-    legs = (Leg("a", 3),)
-    t = GradedTensor(legs, {(0,): Scalar(1), (1,): I * -I, (2,): -ONE})
+    labels, dims = ("a",), (3,)
+    t = GradedTensor(labels, dims, {(0,): Scalar(1), (1,): I * -I, (2,): -ONE})
     assert t.data[(0,)] is ONE and t.data[(1,)] is ONE
     assert t.data[(2,)] == -ONE
     # Stored entries are taken as they are: a computed product equal to 1 stays.
-    product = GradedTensor(legs, {(0,): I}).contract(GradedTensor((Leg("b", 1),), {(0,): -I}))
+    product = GradedTensor(labels, dims, {(0,): I}).contract(GradedTensor(("b",), (1,), {(0,): -I}))
     assert product.data[(0, 0)] == ONE and product.data[(0, 0)] is not ONE
-    assert GradedTensor.from_stored(legs, {(0,): Scalar(1)}).data[(0,)] is not ONE
+    assert GradedTensor.from_stored(labels, dims, {(0,): Scalar(1)}).data[(0,)] is not ONE
 
 
 def test_equality_compares_legs_and_entries():
-    assert GradedTensor((Leg("a", 3),), {}) != GradedTensor((Leg("a", 4),), {})
-    assert GradedTensor((Leg("a", 3),), {}) == GradedTensor((Leg("a", 3),), {})
+    assert GradedTensor(("a",), (3,), {}) != GradedTensor(("a",), (4,), {})
+    assert GradedTensor(("a",), (3,), {}) == GradedTensor(("a",), (3,), {})
     assert vec("a", [1, 2]) != vec("b", [1, 2])
     assert vec("a", [1, 2]) != vec("a", [1, 3])
-    assert (GradedTensor((), {(): Scalar(3)}) == 3) is False
+    assert (GradedTensor((), (), {(): Scalar(3)}) == 3) is False
 
 
 def test_contract_inner_product():
@@ -121,27 +122,28 @@ def join_operands(draw):
 
     def tensor(side, count):
         labels = draw(st.permutations([("s", i) for i in range(shared)] + [(side, i) for i in range(count)]))
-        legs = tuple(Leg(label, dims[label]) for label in labels)
-        keys = list(itertools.product(*(range(leg.dim) for leg in legs)))
+        sizes = tuple(dims[label] for label in labels)
+        keys = list(itertools.product(*map(range, sizes)))
         values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
         # from_stored keeps a fresh Scalar(1), which the constructor would store as ONE.
-        return GradedTensor.from_stored(legs, {k: v for k, v in zip(keys, values) if v is not None})
+        return GradedTensor.from_stored(labels, sizes, {k: v for k, v in zip(keys, values) if v is not None})
 
     return tensor("a", mine), tensor("b", theirs)
 
 
 def dense_contract(a, b):
     """``a.contract(b)``'s entries, summed over every value of the shared legs."""
-    shared = [leg for leg in a.legs if leg.label in b.labels]
-    legs = [leg for leg in a.legs + b.legs if leg not in shared]
+    dims = dict(zip(a.labels + b.labels, a.dims + b.dims))
+    shared = [label for label in a.labels if label in b.labels]
+    labels = [label for label in a.labels + b.labels if label not in shared]
     out = {}
-    for open_key in itertools.product(*(range(leg.dim) for leg in legs)):
+    for open_key in itertools.product(*(range(dims[x]) for x in labels)):
         total = ZERO
-        for shared_key in itertools.product(*(range(leg.dim) for leg in shared)):
-            at = dict(zip([leg.label for leg in legs + shared], open_key + shared_key))
+        for shared_key in itertools.product(*(range(dims[x]) for x in shared)):
+            at = dict(zip(labels + shared, open_key + shared_key))
             total = total + a.entry(at[x] for x in a.labels) * b.entry(at[x] for x in b.labels)
         out[open_key] = total
-    return tuple(legs), out
+    return tuple(labels), tuple(dims[x] for x in labels), out
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -149,8 +151,8 @@ def dense_contract(a, b):
 def test_contract_matches_dense_reference(operands):
     a, b = operands
     got = a.contract(b)
-    legs, want = dense_contract(a, b)
-    assert got.legs == legs
+    labels, dims, want = dense_contract(a, b)
+    assert (got.labels, got.dims) == (labels, dims)
     assert {k: got.entry(k) for k in want} == want
     assert not any(v.is_zero() for v in got.data.values())
 
@@ -160,7 +162,7 @@ def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
     x, y = vec("x", [1, 2, 3]), vector("y", (ONE, I))
     outer, calls = is_zero_count(x.contract, y)
     assert calls == 0
-    assert outer == GradedTensor(x.legs + y.legs, {(i, j): Scalar(i + 1) * v for i in range(3) for j, v in enumerate((ONE, I))})
+    assert outer == GradedTensor(x.labels + y.labels, x.dims + y.dims, {(i, j): Scalar(i + 1) * v for i in range(3) for j, v in enumerate((ONE, I))})
     # Two terms that cancel: one sum, tested, and the key is dropped.
     cancelled, calls = is_zero_count(vec("x", [1, 1]).contract, vec("x", [1, -1]))
     assert calls == 1
@@ -174,6 +176,7 @@ def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
 def test_relabel_shares_data():
     m = matrix("r", "c", [[1, 2], [3, 4]])
     assert m.relabel(["row", "c"]).data is m.data
+    assert m.relabel(["row", "c"]).dims is m.dims
 
 
 @pytest.mark.parametrize("labels", ["r", "rcx", (), ["row", "col", "x"]],
@@ -184,10 +187,21 @@ def test_relabel_needs_one_label_per_leg(labels):
         m.relabel(labels)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GradedTensor(("x", "x"), (2, 2)),
+    lambda: GradedTensor(("x",), (2, 3)),
+    lambda: GradedTensor.identity("x", "y", 2).relabel("xx"),
+], ids=["repeated-label", "more-dims-than-labels", "relabel-repeats"])
+def test_a_tensor_has_one_distinct_label_per_dim(build):
+    # a repeated label would contract as a diagonal sum that no network means
+    with pytest.raises(ValueError, match="repeated leg label|1 labels for 2 legs"):
+        build()
+
+
 def test_relabel_refuses_a_mapping():
     # a dict would be read as its keys: {"in": "x"} on a one-leg tensor
     # would rename the leg to "in"
-    trace = GradedTensor((Leg("in", 2),), {(0,): ONE})
+    trace = GradedTensor(("in",), (2,), {(0,): ONE})
     with pytest.raises(TypeError, match="not a mapping"):
         trace.relabel({"in": "x"})
 
@@ -255,7 +269,7 @@ def test_entry_cap_must_be_positive(monkeypatch):
 
 def test_network_multiplies_components():
     n1 = [vec("x", [1, 2]), vec("x", [1, 1])]  # 3
-    n2 = [GradedTensor((), {(): Scalar(7)})]
+    n2 = [GradedTensor((), (), {(): Scalar(7)})]
     assert contract_network(n1 + n2).as_scalar() == Scalar(21)
 
 
@@ -314,6 +328,27 @@ def test_relabel_never_takes_a_mapping():
         and any(map(is_mapping, [*node.args, *(k.value for k in node.keywords)]))
     ]
     assert not calls
+
+
+def test_no_unused_imports():
+    # every module of the package but __init__.py, which re-exports, uses
+    # each name it imports
+    package = pathlib.Path(hopfk.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used
+        ]
+    assert not unused
 
 
 def test_no_rng_parameter_outside_fuzz():
