@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 
 class ScalarParseError(ValueError):
@@ -16,64 +18,85 @@ class ScalarParseError(ValueError):
 
 
 class Scalar:
-    """An element of Q(i), stored as a pair of ``Fraction`` values.
+    """An element of Q(i), stored as three ints ``(x, y, d)`` meaning
+    (x + y i)/d, in normal form: d > 0 and gcd(x, y, d) = 1.
 
-    ``Fraction`` keeps both parts in lowest terms with a positive
-    denominator, which is exactly the normal form we need.  Instances are
-    immutable and hashable.
+    So equal values store equal ints, and a sum or product of two entries
+    with d = 1 costs two or four int operations and no gcd.  ``re`` and
+    ``im`` are read-only ``Fraction`` properties.  Like ``Fraction``'s own
+    fields, the three ints are private; no operation changes them after
+    construction, so instances are immutable and hashable.  The parts are
+    ints, ``Fraction``s (or other rationals) or numeral strings such as
+    ``"-1/2"``; a float or complex raises ``TypeError``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        a, b = _rational(re)
+        c, e = _rational(im)
+        d = lcm(b, e)  # a/b and c/e in lowest terms make (x, y, d) normal
+        self._x, self._y, self._d = a * (d // b), c * (d // e), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+        d, e = self._d, other._d
+        if d == e == 1:
+            return _make(self._x + other._x, self._y + other._y, 1)
+        return _reduced(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+        d, e = self._d, other._d
+        if d == e == 1:
+            return _make(self._x - other._x, self._y - other._y, 1)
+        return _reduced(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+        x1, y1, x2, y2 = self._x, self._y, other._x, other._y
+        d = self._d * other._d
+        if d == 1:
+            return _make(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, 1)
+        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (x1 + y1 i)/d1 / ((x2 + y2 i)/d2) = (x1 + y1 i)(x2 - y2 i) d2 / (d1 (x2^2 + y2^2))
         other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        x1, y1, x2, y2, e = self._x, self._y, other._x, other._y, other._d
+        norm = x2 * x2 + y2 * y2
         if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((x1 * x2 + y1 * y2) * e, (y1 * x2 - x1 * y2) * e, self._d * norm)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._x, -self._y, self._d)
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _make(self._x, -self._y, self._d)
 
     # -- comparisons and hashing ------------------------------------------
 
@@ -81,23 +104,25 @@ class Scalar:
         if self is other:
             return True
         if other.__class__ is Scalar:
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, int):
+            return self._y == 0 and self._d == 1 and self._x == other
+        if isinstance(other, Fraction):
+            return self._y == 0 and self._x == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
         # A real value hashes as its ``Fraction``, which agrees with ``int``
-        # and ``Fraction`` on the values they are equal to.
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        # and ``Fraction`` on the values they are equal to; an int hashes as
+        # the ``Fraction`` it equals, so d = 1 needs none.
+        re, im = (self._x, self._y) if self._d == 1 else (self.re, self.im)
+        return hash((re, im)) if im else hash(re)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._x != 0 or self._y != 0
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self._x == 0 and self._y == 0
 
     # -- text form ---------------------------------------------------------
 
@@ -106,6 +131,33 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
+
+
+_new = object.__new__
+
+
+def _make(x, y, d) -> Scalar:
+    """The Scalar (x + y i)/d, whose ints are already in normal form."""
+    s = _new(Scalar)
+    s._x, s._y, s._d = x, y, d
+    return s
+
+
+def _reduced(x, y, d) -> Scalar:
+    """The Scalar (x + y i)/d for d > 0, brought to normal form."""
+    g = gcd(x, y, d)
+    if g == 1:
+        return _make(x, y, d)
+    return _make(x // g, y // g, d // g)
+
+
+def _rational(value):
+    """A part given to the constructor as (numerator, denominator) in lowest terms."""
+    if isinstance(value, str):
+        value = Fraction(value)
+    elif not isinstance(value, Rational):
+        raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
+    return int(value.numerator), int(value.denominator)
 
 
 def _coerce(value) -> Scalar:
@@ -151,19 +203,17 @@ def parse_scalar(text: str) -> Scalar:
         raise ScalarParseError(f"too many digits in a scalar of {len(s)} characters") from exc
 
 
-def _format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _format_rational(n, d) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form; ``parse_scalar(format_scalar(s)) == s``."""
-    if s.re == 0 and s.im == 0:
-        return "0"
-    if s.im == 0:
-        return _format_rational(s.re)
-    imag = "i" if abs(s.im) == 1 else _format_rational(abs(s.im)) + "i"
-    if s.re == 0:
-        return ("-" if s.im < 0 else "") + imag
-    return _format_rational(s.re) + ("-" if s.im < 0 else "+") + imag
+    x, y, d = s._x, s._y, s._d
+    if y == 0:
+        return _format_rational(x, d)
+    imag = "i" if abs(y) == d else _format_rational(abs(y), d) + "i"
+    if x == 0:
+        return ("-" if y < 0 else "") + imag
+    return _format_rational(x, d) + ("-" if y < 0 else "+") + imag

@@ -8,6 +8,8 @@ import inspect
 import runpy
 from pathlib import Path
 
+import pytest
+
 from hopfk import invariant, tensors
 from hopfk.groups import GroupTable
 from hopfk.heegaard import lens_diagram
@@ -96,3 +98,17 @@ def test_workloads_call_hopfk_with_accepted_arguments():
             inspect.signature(f).bind_partial(*args, **kwargs)
         except TypeError as exc:
             raise AssertionError(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}") from None
+
+
+@pytest.mark.parametrize("workload", ["lens", "walk", "validate"])
+def test_benchmark_answers_hold_at_seed_2(workload):
+    # One pass of the workload's ops, checked by its own ``expect`` (closed
+    # forms, lift counts and K along each walk, verdicts), as bench/run.py
+    # checks them.  run_path compiles in memory: nothing is written under bench/.
+    setup, expect = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"][workload]
+    ops = setup(2)
+    answers = [op.run() for op in ops]
+    expected = expect(ops, answers)
+    wrong = [(op.label, answer, exp) for op, answer, exp in zip(ops, answers, expected)
+             if any(answer.get(k) != v for k, v in exp.items())]
+    assert ops and not wrong, wrong
