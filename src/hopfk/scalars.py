@@ -113,8 +113,8 @@ class Scalar:
 
     def __hash__(self):
         # A real value hashes as its ``Fraction``, which agrees with ``int``
-        # and ``Fraction`` on the values they are equal to; an int hashes as
-        # the ``Fraction`` it equals, so d = 1 needs none.
+        # and ``Fraction`` on the values they are equal to.  With d = 1 the
+        # parts are ints, which hash as the ``Fraction``s they equal.
         re, im = (self._x, self._y) if self._d == 1 else (self.re, self.im)
         return hash((re, im)) if im else hash(re)
 

@@ -1,4 +1,3 @@
-import fractions
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -236,7 +235,7 @@ def test_no_fraction_on_the_contraction_or_validation_path(monkeypatch):
         made.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    monkeypatch.setattr(Fraction, "__new__", counted)
     Z, K = contract_invariant(H, D)
     assert validate_hopf(H).passed
     assert made == []
