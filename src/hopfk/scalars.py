@@ -23,10 +23,10 @@ class Scalar:
 
     So equal values store equal ints, and a sum or product of two entries
     with d = 1 costs two or four int operations and no gcd.  ``re`` and
-    ``im`` are read-only ``Fraction`` properties.  Like ``Fraction``'s own
-    fields, the three ints are private; no operation changes them after
-    construction, so instances are immutable and hashable.  The parts are
-    ints, ``Fraction``s (or other rationals) or numeral strings such as
+    ``im`` are read-only ``Fraction`` properties.  Instances are immutable
+    and hashable: every assignment raises, and only construction writes
+    the three ints, through the slots' own setters.  The parts are ints,
+    ``Fraction``s (or other rationals) or numeral strings such as
     ``"-1/2"``; a float or complex raises ``TypeError``.
     """
 
@@ -36,7 +36,12 @@ class Scalar:
         a, b = _rational(re)
         c, e = _rational(im)
         d = lcm(b, e)  # a/b and c/e in lowest terms make (x, y, d) normal
-        self._x, self._y, self._d = a * (d // b), c * (d // e), d
+        _set_x(self, a * (d // b))
+        _set_y(self, c * (d // e))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -113,10 +118,8 @@ class Scalar:
 
     def __hash__(self):
         # A real value hashes as its ``Fraction``, which agrees with ``int``
-        # and ``Fraction`` on the values they are equal to.  With d = 1 the
-        # parts are ints, which hash as the ``Fraction``s they equal.
-        re, im = (self._x, self._y) if self._d == 1 else (self.re, self.im)
-        return hash((re, im)) if im else hash(re)
+        # and ``Fraction`` on the values they are equal to.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self._x != 0 or self._y != 0
@@ -134,12 +137,15 @@ class Scalar:
 
 
 _new = object.__new__
+_set_x, _set_y, _set_d = Scalar._x.__set__, Scalar._y.__set__, Scalar._d.__set__
 
 
 def _make(x, y, d) -> Scalar:
     """The Scalar (x + y i)/d, whose ints are already in normal form."""
     s = _new(Scalar)
-    s._x, s._y, s._d = x, y, d
+    _set_x(s, x)
+    _set_y(s, y)
+    _set_d(s, d)
     return s
 
 

@@ -91,9 +91,10 @@ def test_division_by_zero():
 
 def test_immutability_and_hash():
     a = Scalar(1, 2)
-    for name in ("re", "im", "x"):
+    for name in ("re", "im", "_x", "_y", "_d", "z"):
         with pytest.raises(AttributeError):
-            setattr(a, name, Fraction(5))
+            setattr(a, name, 5)
+    assert a == Scalar(1, 2)
     assert hash(Scalar(1, 2)) == hash(Scalar(1, 2))
     assert len({Scalar(1), Scalar(1), Scalar(2)}) == 2
 
