@@ -27,13 +27,15 @@ class EntryCapExceeded(RuntimeError):
 
 def entry_cap() -> int:
     """The cap from ``HOPFK_ENTRY_CAP``: unset or empty means the default,
-    anything but a positive integer is a ``ValueError``."""
+    anything but a positive integer in ASCII digits is a ``ValueError``; a
+    sign, an underscore, a space or another script's digits are refused,
+    though ``int`` would read them."""
     value = os.environ.get(ENTRY_CAP_ENV)
     if not value:
         return DEFAULT_ENTRY_CAP
     try:
-        cap = int(value)
-    except ValueError:
+        cap = int(value) if value.isdigit() and value.isascii() else 0
+    except ValueError:  # more digits than int() converts
         cap = 0
     if cap < 1:
         raise ValueError(f"{ENTRY_CAP_ENV} must be a positive integer, got {value!r}")
@@ -50,6 +52,16 @@ def projection(indices):
     if list(indices) == list(range(start, start + len(indices))):
         return itemgetter(slice(start, start + len(indices)))
     return itemgetter(*indices)
+
+
+def _run_getter(positions):
+    """``projection(positions)`` for increasing ``positions``, whose ends
+    alone tell whether they are one contiguous run, so no scan."""
+    count = len(positions)
+    if count > 1 and positions[-1] - positions[0] != count - 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + count))
 
 
 class GradedTensor:
@@ -135,30 +147,42 @@ class GradedTensor:
         both factors are stored entries, so nonzero, and Q(i) has no zero
         divisors.  Only a sum onto a stored key can cancel; it is tested,
         and a cancelled key is deleted, so the result stores no zero either.
+
+        The set-up is linear in the number of legs: one pass over the legs
+        of ``self``, looked up in a dict of ``other``'s positions, finds the
+        shared legs and checks their dimensions; the key getters are
+        ``itemgetter``s built from those positions.  The result skips the
+        constructor's repeated-label check: its legs are those of ``self``
+        that ``other`` lacks, then the rest of ``other``'s, so no label
+        repeats.
         """
-        shared = set(self.labels) & set(other.labels)
-        my_keep = [i for i, label in enumerate(self.labels) if label not in shared]
-        my_pair = [i for i, label in enumerate(self.labels) if label in shared]
-        ot_keep = [i for i, label in enumerate(other.labels) if label not in shared]
-        ot_pair = {label: i for i, label in enumerate(other.labels) if label in shared}
-        pair_ot = [ot_pair[self.labels[i]] for i in my_pair]
-        for i, j in zip(my_pair, pair_ot):
+        # The positions left in ``where`` are other's kept legs, in order.
+        where = dict(zip(other.labels, range(len(other.labels))))
+        my_keep, my_pair, ot_pair = [], [], []
+        for i, label in enumerate(self.labels):
+            j = where.pop(label, None)
+            if j is None:
+                my_keep.append(i)
+                continue
             if self.dims[i] != other.dims[j]:
-                raise ValueError(f"leg {self.labels[i]!r} dimension mismatch: "
+                raise ValueError(f"leg {label!r} dimension mismatch: "
                                  f"{self.dims[i]} vs {other.dims[j]}")
+            my_pair.append(i)
+            ot_pair.append(j)
         # Hash-join on the shared index values.  The two bucket keys need only
         # agree with each other; the kept parts are concatenated, so tuples.
-        my_bucket, ot_bucket = (itemgetter(*pair) if pair else projection(pair)
-                                for pair in (my_pair, pair_ot))
-        my_part, ot_part = projection(my_keep), projection(ot_keep)
+        if my_pair:
+            my_bucket, ot_bucket = itemgetter(*my_pair), itemgetter(*ot_pair)
+        else:
+            my_bucket = ot_bucket = itemgetter(slice(0, 0))
+        my_part, ot_part = _run_getter(my_keep), _run_getter(list(where.values()))
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
         limit = entry_cap()
-        out = GradedTensor(labels, dims)
         buckets = {}
         for key, value in other.data.items():
             buckets.setdefault(ot_bucket(key), []).append((ot_part(key), value))
-        acc = out.data
+        acc = {}
         products = 0
         for key, value in self.data.items():
             hits = buckets.get(my_bucket(key))
@@ -185,6 +209,8 @@ class GradedTensor:
                     del acc[new_key]
                 else:
                     acc[new_key] = total
+        out = GradedTensor.__new__(GradedTensor)  # no label check, see above
+        out.labels, out.dims, out.data = labels, dims, acc
         return out
 
     # -- comparison -----------------------------------------------------------
@@ -230,12 +256,14 @@ def contract_network(nodes) -> GradedTensor:
 
 def _merged_size(a: GradedTensor, b: GradedTensor) -> int:
     """Dense size of the legs ``a.contract(b)`` leaves open."""
-    shared = set(a.labels) & set(b.labels)
+    open_b = dict(zip(b.labels, b.dims))
     size = 1
-    for label, dim in zip(a.labels + b.labels, a.dims + b.dims):
-        if label not in shared:
+    for label, dim in zip(a.labels, a.dims):
+        if label in open_b:
+            del open_b[label]
+        else:
             size *= dim
-    return size
+    return math.prod(open_b.values(), start=size)
 
 
 def _contract_greedy(pool):

@@ -111,22 +111,38 @@ ENTRY_VALUES = (ONE, Scalar(1), Scalar(-1), I, -I, Scalar(Fraction(1, 2)), Scala
 
 @st.composite
 def join_operands(draw):
-    """Two sparse tensors over legs of dimension 1..3 that share 0, 1 or 2
-    legs, or all of them, each with its legs in a drawn order."""
-    if draw(st.booleans()):
+    """Two sparse tensors over legs of dimension 0..3 that share 0, 1 or 2
+    legs, or all of them, each with its legs in a drawn order; or two
+    ``relabel`` views of one stored tensor, as ``validate_hopf`` contracts
+    ``mul.relabel("xym")`` with ``mul.relabel("mzo")``."""
+
+    def entries(sizes):
+        keys = list(itertools.product(*map(range, sizes)))
+        values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
+        return {k: v for k, v in zip(keys, values) if v is not None}
+
+    kind = draw(st.sampled_from(["all-shared", "some-shared", "views"]))
+    if kind == "views":
+        sizes = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+        # from_stored keeps a fresh Scalar(1), which the constructor would store as ONE.
+        stored = GradedTensor.from_stored(range(len(sizes)), sizes, entries(sizes))
+        mine = [("a", i) for i in range(len(sizes))]
+        theirs = []
+        for k, size in enumerate(sizes):
+            partners = [label for label, dim in zip(mine, sizes) if dim == size and label not in theirs]
+            theirs.append(draw(st.sampled_from([("b", k)] + partners)))
+        return stored.relabel(mine), stored.relabel(theirs)
+    if kind == "all-shared":
         shared, mine, theirs = draw(st.integers(1, 3)), 0, 0
     else:
         shared, mine, theirs = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    dims = {label: draw(st.integers(1, 3)) for label in
+    dims = {label: draw(st.integers(0, 3)) for label in
             [("s", i) for i in range(shared)] + [("a", i) for i in range(mine)] + [("b", i) for i in range(theirs)]}
 
     def tensor(side, count):
         labels = draw(st.permutations([("s", i) for i in range(shared)] + [(side, i) for i in range(count)]))
         sizes = tuple(dims[label] for label in labels)
-        keys = list(itertools.product(*map(range, sizes)))
-        values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
-        # from_stored keeps a fresh Scalar(1), which the constructor would store as ONE.
-        return GradedTensor.from_stored(labels, sizes, {k: v for k, v in zip(keys, values) if v is not None})
+        return GradedTensor.from_stored(labels, sizes, entries(sizes))
 
     return tensor("a", mine), tensor("b", theirs)
 
@@ -155,6 +171,22 @@ def test_contract_matches_dense_reference(operands):
     assert (got.labels, got.dims) == (labels, dims)
     assert {k: got.entry(k) for k in want} == want
     assert not any(v.is_zero() for v in got.data.values())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_merged_size_is_the_open_dense_size(data):
+    # the planner's key against the product the reference planner takes:
+    # labels overlap at random, in any order, and some legs have dimension 0
+    dims = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=24))
+    legs = st.lists(st.integers(0, len(dims) - 1), unique=True, max_size=12)
+    a, b = (GradedTensor(labels, [dims[x] for x in labels]) for labels in (data.draw(legs), data.draw(legs)))
+    shared = set(a.labels) & set(b.labels)
+    size = 1
+    for label, dim in zip(a.labels + b.labels, a.dims + b.dims):
+        if label not in shared:
+            size *= dim
+    assert tensors._merged_size(a, b) == size
 
 
 def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
@@ -257,7 +289,7 @@ def test_entry_cap_must_be_positive(monkeypatch):
     assert entry_cap() == DEFAULT_ENTRY_CAP
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "1")
     assert entry_cap() == 1
-    for bad in ("abc", "0", "-5", "2.5"):
+    for bad in ("abc", "0", "-5", "2.5", "+5", "1_000", " 7 ", "\u0663"):
         monkeypatch.setenv("HOPFK_ENTRY_CAP", bad)
         message = f"HOPFK_ENTRY_CAP must be a positive integer, got '{bad}'"
         with pytest.raises(ValueError) as exc:
@@ -401,3 +433,23 @@ def test_planner_matches_the_pair_scan_on_components_and_ties(scan_network, cont
     lone = vec("z", [5, 7])
     for nodes in (ring, ring + path, path + [lone] + ring, [lone] + path):
         assert_same_plan(scan_network, contraction_log, nodes)
+
+
+@pytest.mark.parametrize("color", [0, 1])
+def test_a_join_result_is_not_checked_again(kp, monkeypatch, color):
+    # contract builds its result without GradedTensor.__init__: no label
+    # check runs on a join, in the network loop of a large lens space
+    nodes = diagram_nodes(kp, lens_diagram(64).with_colors(kp.pi, (color,)))
+    built = []
+    init = GradedTensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedTensor, "__init__", counted)
+    Z = contract_network(nodes).as_scalar()
+    assert built == []
+    assert Z == Scalar(16)  # K of L(64) is 4 under either color, and dim H_1 = 4
+    GradedTensor.identity("x", "y", 2)  # the counter does see a tensor being built
+    assert len(built) == 1
