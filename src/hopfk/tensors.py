@@ -9,16 +9,20 @@ the structure-constant tensors of the algebras we contract are very sparse.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import os
 from collections.abc import Mapping
+from contextvars import ContextVar
 from operator import itemgetter
 
 from .scalars import ONE, ZERO, Scalar
 
 DEFAULT_ENTRY_CAP = 10_000_000
 ENTRY_CAP_ENV = "HOPFK_ENTRY_CAP"
+# The cap ``contract_network`` read for the network it is contracting, if any.
+_network_cap = ContextVar("network_cap", default=None)
 
 
 class EntryCapExceeded(RuntimeError):
@@ -137,11 +141,12 @@ class GradedTensor:
         remaining legs of ``self`` followed by those of ``other``.  The
         hash join computes one product per pair of stored entries that
         agree on the shared legs, and raises ``EntryCapExceeded`` as soon
-        as their count passes ``entry_cap()``; so the cap bounds both the
-        time of a contraction and the entries of its result.  A product
-        with a stored ``ONE`` is the other factor, taken without a multiply
-        (it still counts towards the cap).  A product equal to 1, such as
-        I * -I, is stored as computed, not as ``ONE``.
+        as their count passes the cap: the one ``contract_network`` read
+        for the network being contracted, else ``entry_cap()``.  So the cap
+        bounds both the time of a contraction and the entries of its
+        result.  A product with a stored ``ONE`` is the other factor, taken
+        without a multiply (it still counts towards the cap).  A product
+        equal to 1, such as I * -I, is stored as computed, not as ``ONE``.
 
         A product written to a key for the first time is stored untested:
         both factors are stored entries, so nonzero, and Q(i) has no zero
@@ -178,7 +183,7 @@ class GradedTensor:
         my_part, ot_part = _run_getter(my_keep), _run_getter(list(where.values()))
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
-        limit = entry_cap()
+        limit = _network_cap.get() or entry_cap()
         buckets = {}
         for key, value in other.data.items():
             buckets.setdefault(ot_bucket(key), []).append((ot_part(key), value))
@@ -235,30 +240,40 @@ def contract_network(nodes) -> GradedTensor:
     outer product; a network with no open legs yields a tensor whose
     ``as_scalar`` is its value.
 
-    The planner is incremental.  Every live tensor has an id, and a
-    merged tensor gets a fresh id larger than all before it, so id order
-    is insertion order.  An index maps each label to the ids of the live
-    tensors carrying it, and a heap holds ``(merged open size, id_a,
-    id_b)`` with ``id_a < id_b`` for every connected pair; its minimum is
-    the next contraction.  Entries naming a tensor already merged are
-    skipped when popped, and a new tensor pushes entries only for its
-    neighbours, found through the index.  A network of at most two
-    tensors needs no plan: it is ``nodes[0].contract(nodes[1])``.
+    That order is ``plan_network``'s, the only order policy.  It reads the
+    nodes' labels and dims alone, never their entries, so every coloring
+    of a diagram, whose networks differ only in entries, has one plan; the
+    plans are memoized per shape in a bounded cache.  This function
+    replays the plan's merges with ``contract``, then joins the leftover
+    components.  A network of at most two tensors needs no plan: it is
+    ``nodes[0].contract(nodes[1])``.  The entry cap is read once, before
+    the first contraction, and bounds every contraction of the network.
     """
     pool = list(nodes)
-    if len(pool) > 2:
-        pool = _contract_greedy(pool)
-    result = pool[0] if pool else GradedTensor((), (), {(): ONE})
-    for t in pool[1:]:
-        result = result.contract(t)
+    if len(pool) < 2:
+        return pool[0] if pool else GradedTensor((), (), {(): ONE})
+    token = _network_cap.set(entry_cap())
+    try:
+        if len(pool) > 2:
+            merges, left = plan_network(tuple([(t.labels, t.dims) for t in pool]))
+            live = dict(enumerate(pool))
+            for new, (a, b) in enumerate(merges, len(pool)):
+                live[new] = live.pop(a).contract(live.pop(b))
+            pool = [live[i] for i in left]
+        result = pool[0]
+        for t in pool[1:]:
+            result = result.contract(t)
+    finally:
+        _network_cap.reset(token)
     return result
 
 
-def _merged_size(a: GradedTensor, b: GradedTensor) -> int:
-    """Dense size of the legs ``a.contract(b)`` leaves open."""
-    open_b = dict(zip(b.labels, b.dims))
+def _merged_size(a, b) -> int:
+    """Dense size of the legs left open by contracting the shapes ``a`` and
+    ``b``, each a pair (labels, dims)."""
+    open_b = dict(zip(*b))
     size = 1
-    for label, dim in zip(a.labels, a.dims):
+    for label, dim in zip(*a):
         if label in open_b:
             del open_b[label]
         else:
@@ -266,40 +281,64 @@ def _merged_size(a: GradedTensor, b: GradedTensor) -> int:
     return math.prod(open_b.values(), start=size)
 
 
-def _contract_greedy(pool):
-    """Contract connected pairs in greedy order; return the tensors left,
-    one per component, in id order."""
-    live = dict(enumerate(pool))
+@functools.lru_cache(maxsize=32)
+def plan_network(shapes):
+    """The greedy contraction order of a network whose nodes have the given
+    shapes, a tuple of (labels, dims) pairs, one per node in order.
+
+    Returns ``(merges, left)``.  ``merges`` lists the pairs ``(a, b)``, with
+    ``a < b``, in the order to contract them as ``a.contract(b)``: node ids
+    are positions in ``shapes``, and the k-th merge makes the node with id
+    ``len(shapes) + k``.  ``left`` lists the ids left over, one per
+    component, in id order.
+
+    Each node has an id, and a merged node gets a fresh id larger than all
+    before it, so id order is insertion order.  An index maps each label
+    to the ids of the live nodes carrying it, and a heap holds ``(merged
+    open size, id_a, id_b)`` with ``id_a < id_b`` for every connected pair;
+    its minimum is the next merge.  Entries naming a node already merged
+    are skipped when popped, and a merged node pushes entries only for its
+    neighbours, the other live nodes its labels reach through the index.
+    A merged node's legs are those ``contract`` gives: the legs of ``a``
+    that ``b`` lacks, then the rest of ``b``'s.  The cache key holds
+    labels and dims only, so it keeps no tensor alive.
+    """
+    live = dict(enumerate(shapes))
     index = {}
-    for i, t in live.items():
-        for label in t.labels:
+    for i, (labels, _) in live.items():
+        for label in labels:
             index.setdefault(label, set()).add(i)
-
-    def neighbours(i, t):
-        return {j for label in t.labels for j in index[label] if j != i}
-
     heap = [
-        (_merged_size(t, live[j]), i, j)
-        for i, t in live.items()
-        for j in neighbours(i, t)
-        if j > i
+        (_merged_size(live[i], live[j]), i, j)
+        for i, j in {(i, j) for ids in index.values() for i in ids for j in ids if i < j}
     ]
     heapq.heapify(heap)
-    next_id = len(pool)
+    merges = []
+    next_id = len(shapes)
     while heap:
         _, a, b = heapq.heappop(heap)
         if a not in live or b not in live:
             continue
-        ta, tb = live.pop(a), live.pop(b)
-        for i, t in ((a, ta), (b, tb)):
-            for label in t.labels:
+        (a_labels, a_dims), (b_labels, b_dims) = live.pop(a), live.pop(b)
+        for i, labels in ((a, a_labels), (b, b_labels)):
+            for label in labels:
                 index[label].discard(i)
-        merged = ta.contract(tb)
-        for label in merged.labels:
-            index.setdefault(label, set()).add(next_id)
-        for j in neighbours(next_id, merged):
+        open_b = dict(zip(b_labels, b_dims))
+        labels, dims = [], []
+        for label, dim in zip(a_labels, a_dims):
+            if label in open_b:
+                del open_b[label]
+            else:
+                labels.append(label)
+                dims.append(dim)
+        merged = (*labels, *open_b), (*dims, *open_b.values())
+        neighbours = set()
+        for label in merged[0]:
+            neighbours |= index[label]
+            index[label].add(next_id)
+        for j in neighbours:
             heapq.heappush(heap, (_merged_size(live[j], merged), j, next_id))
         live[next_id] = merged
+        merges.append((a, b))
         next_id += 1
-    return list(live.values())
-
+    return tuple(merges), tuple(live)

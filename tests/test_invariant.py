@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import pathlib
 import random
 from dataclasses import replace
@@ -36,7 +37,7 @@ from hopfk.hopf import (
 )
 from hopfk.invariant import contract_invariant, diagram_nodes
 from hopfk.scalars import Scalar
-from hopfk.tensors import EntryCapExceeded, contract_network
+from hopfk.tensors import EntryCapExceeded, contract_network, plan_network
 
 
 def s3_diagram(z2):
@@ -138,11 +139,16 @@ def test_rejects_invalid_coloring(kp, z2):
 
 def test_order_independence(kp, z2, scan_network, contraction_log):
     D = connected_sum(lens_diagram(2), lens_diagram(4)).with_colors(z2, (1, 1))
-    # the mirror's negative crossings add antipode nodes to the random order
+    # the mirror's negative crossings add antipode nodes to the random order;
+    # warm, each network replays the plan cached by an earlier call
     replans = []
-    for E in (D, mirror_diagram(D)):
+    for E, warm in itertools.product((D, mirror_diagram(D)), (False, True)):
         nodes = diagram_nodes(kp, E)
+        plan_network.cache_clear()
+        if warm:
+            contract_network(nodes)
         base, plan = contraction_log(contract_network, nodes)
+        assert plan_network.cache_info().hits == int(warm)
         assert base.as_scalar() == contract_invariant(kp, E)[0]
         for seed in range(5):
             pick = random.Random(seed).choice

@@ -3,6 +3,7 @@ import functools
 import itertools
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -176,14 +177,15 @@ def test_contract_matches_dense_reference(operands):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_merged_size_is_the_open_dense_size(data):
-    # the planner's key against the product the reference planner takes:
-    # labels overlap at random, in any order, and some legs have dimension 0
+    # the planner's key, read from two (labels, dims) shapes, against the
+    # product the reference planner takes: labels overlap at random, in any
+    # order, and some legs have dimension 0
     dims = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=24))
     legs = st.lists(st.integers(0, len(dims) - 1), unique=True, max_size=12)
-    a, b = (GradedTensor(labels, [dims[x] for x in labels]) for labels in (data.draw(legs), data.draw(legs)))
-    shared = set(a.labels) & set(b.labels)
+    a, b = ((tuple(labels), tuple(dims[x] for x in labels)) for labels in (data.draw(legs), data.draw(legs)))
+    shared = set(a[0]) & set(b[0])
     size = 1
-    for label, dim in zip(a.labels + b.labels, a.dims + b.dims):
+    for label, dim in zip(a[0] + b[0], a[1] + b[1]):
         if label not in shared:
             size *= dim
     assert tensors._merged_size(a, b) == size
@@ -402,11 +404,19 @@ def test_no_rng_parameter_outside_fuzz():
 # -- the greedy planner against the all-pairs scan it replaced ----------------------
 
 
-def assert_same_plan(scan_network, contraction_log, nodes):
+def assert_same_plan(scan_network, contraction_log, nodes, warm=False):
+    # Cold, the plan is built for this network; warm, it is the cached plan
+    # of an earlier call on the same shapes, so a stale cache cannot hide a
+    # planner change in either.
     want = contraction_log(scan_network, nodes)
+    tensors.plan_network.cache_clear()
+    if warm:
+        contract_network(nodes)
     got = contraction_log(contract_network, nodes)
     assert got[1] == want[1]
     assert got[0] == want[0]
+    if len(nodes) > 2:
+        assert tensors.plan_network.cache_info()[:2] == (int(warm), 1)
 
 
 def test_planner_matches_the_pair_scan(kp, fs3, scan_network, contraction_log):
@@ -422,7 +432,8 @@ def test_planner_matches_the_pair_scan(kp, fs3, scan_network, contraction_log):
         for D in diagrams:
             for colors in enumerate_colorings(D, H.pi):
                 nodes = diagram_nodes(H, D.with_colors(H.pi, colors))
-                assert_same_plan(scan_network, contraction_log, nodes)
+                for warm in (False, True):
+                    assert_same_plan(scan_network, contraction_log, nodes, warm)
 
 
 def test_planner_matches_the_pair_scan_on_components_and_ties(scan_network, contraction_log):
@@ -433,6 +444,81 @@ def test_planner_matches_the_pair_scan_on_components_and_ties(scan_network, cont
     lone = vec("z", [5, 7])
     for nodes in (ring, ring + path, path + [lone] + ring, [lone] + path):
         assert_same_plan(scan_network, contraction_log, nodes)
+
+
+def test_one_plan_per_diagram(kp, contraction_log):
+    # Every coloring of a diagram gives a network of the same shape: the
+    # first is planned, the others reuse its plan, with the contract calls
+    # and the value of a cold cache.
+    diagrams = [lens_diagram(p) for p in (4, 6, 9)]
+    diagrams.append(connected_sum(lens_diagram(4), lens_diagram(6)))
+    counts = []
+    for D in diagrams:
+        networks = [diagram_nodes(kp, D.with_colors(kp.pi, c)) for c in enumerate_colorings(D, kp.pi)]
+        tensors.plan_network.cache_clear()
+        warm = [contraction_log(contract_network, nodes) for nodes in networks]
+        info = tensors.plan_network.cache_info()
+        assert (info.misses, info.hits) == (1, len(networks) - 1)
+        counts.append(len(networks))
+        for nodes, (result, log) in zip(networks, warm):
+            tensors.plan_network.cache_clear()
+            assert contraction_log(contract_network, nodes) == (result, log)
+    assert counts == [2, 2, 1, 4]
+
+
+def test_a_dimension_is_part_of_the_shape(scan_network, contraction_log):
+    # Two chains with equal labels; a larger open leg 0 on the first node
+    # moves the first merge from (0, 1) to (1, 2).
+    square = [[1, 2], [3, 4]]
+    rest = [matrix(i, i + 1, square) for i in (1, 2, 3)]
+    narrow = [matrix(0, 1, square)] + rest
+    wide = [matrix(0, 1, [[1, 2], [3, 4], [5, 6]])] + rest
+    plans = [tensors.plan_network(tuple((t.labels, t.dims) for t in nodes)) for nodes in (narrow, wide)]
+    assert plans == [(((0, 1), (2, 3), (4, 5)), (6,)), (((1, 2), (3, 4), (0, 5)), (6,))]
+    for nodes in (narrow, wide):
+        assert_same_plan(scan_network, contraction_log, nodes, warm=True)
+
+
+def test_the_plan_cache_is_bounded_and_holds_no_tensor():
+    maxsize = tensors.plan_network.cache_info().maxsize
+    tensors.plan_network.cache_clear()
+    for n in range(1, maxsize + 6):
+        contract_network([vec("x", [1] * n), vec("x", [1] * n), vec("y", [2])])
+    assert tensors.plan_network.cache_info().currsize == maxsize
+
+    class Entries(dict):  # a dict subclass, so a weakref can watch one
+        pass
+
+    node = GradedTensor.from_stored(("a", "b"), (2, 2), Entries({(0, 1): ONE, (1, 0): I}))
+    refs = weakref.ref(node), weakref.ref(node.data)
+    contract_network([node, vec("b", [1, 2]), vec("a", [3, 4])])
+    del node
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_network_reads_the_entry_cap_once(monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return DEFAULT_ENTRY_CAP
+
+    monkeypatch.setattr(tensors, "entry_cap", counted)
+    chain = [matrix(i, i + 1, [[1, 2], [3, 4]]) for i in range(5)] + [vec("z", [1])]
+    for nodes, want in ((chain, 1), (chain[:2], 1), (chain[:1], 0), ([], 0)):
+        reads.clear()
+        contract_network(nodes)
+        assert len(reads) == want
+    # outside a network, each contract reads it
+    reads.clear()
+    chain[0].contract(chain[1]).contract(chain[2])
+    assert len(reads) == 2
+    # a network that makes no contraction does not read a bad cap
+    monkeypatch.undo()
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "0")
+    assert contract_network(chain[:1]) is chain[0]
+    with pytest.raises(ValueError, match="HOPFK_ENTRY_CAP must be a positive integer"):
+        contract_network(chain[:3])
 
 
 @pytest.mark.parametrize("color", [0, 1])
