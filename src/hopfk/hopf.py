@@ -273,7 +273,8 @@ def validate_hopf(H: HopfPiCoalgebra) -> Report:
 
     # Coassociativity, one basis vector x of H_tot at a time, so each side holds
     # only the terms of Delta(x) split three ways (|G|^2 for F(G), not |G|^3).
-    # The row Delta(x) goes second: the hash join buckets it, not all of Delta.
+    # The join indexes Delta, the larger stored side, once per leg it joins
+    # on, and keeps that index; each row Delta(x) is scanned against it.
     rows = {}
     for key, v in delta.data.items():
         rows.setdefault(key[0], {})[key] = v

@@ -76,7 +76,14 @@ class GradedTensor:
     ``ONE``, so ``contract`` takes its products without a multiply.
     ``from_stored`` and ``relabel`` take entries that are already stored,
     and share their ``data`` dict.  ``contract`` stores its products as
-    computed (see there)."""
+    computed (see there).
+
+    A stored tensor, one made by the constructor or ``from_stored``, also
+    keeps the hash-join indexes ``contract`` builds over its entries, one
+    per tuple of joined leg positions, in a private dict that its
+    ``relabel`` views share, as they share ``data``: an index reads
+    positions, not labels.  That nothing mutates a tensor is what keeps
+    an index true to its entries.  A ``contract`` result keeps none."""
 
     def __init__(self, labels, dims, data=None):
         self.labels, self.dims = tuple(labels), tuple(dims)
@@ -85,6 +92,7 @@ class GradedTensor:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"repeated leg label in {self.labels!r}")
         self.data = {}
+        self._index = {}
         if data:
             for key, value in data.items():
                 if not value.is_zero():
@@ -130,7 +138,9 @@ class GradedTensor:
         """Rename the legs, in stored order, to ``labels`` (a string gives one per character)."""
         if isinstance(labels, Mapping):
             raise TypeError("relabel takes the new labels in stored leg order, not a mapping")
-        return GradedTensor.from_stored(labels, self.dims, self.data)
+        out = GradedTensor.from_stored(labels, self.dims, self.data)
+        out._index = self._index
+        return out
 
     # -- contraction ---------------------------------------------------------
 
@@ -153,6 +163,16 @@ class GradedTensor:
         divisors.  Only a sum onto a stored key can cancel; it is tested,
         and a cancelled key is deleted, so the result stores no zero either.
 
+        The join indexes one side, a map from the values on the shared legs
+        to the kept parts and values of its entries, and scans the other
+        side's entries against it; the product count is taken over the
+        scanned side.  A stored side is indexed, the one with more entries
+        if both are (``other`` on a tie), and the index is kept with it
+        (see the class docstring), so a stored tensor joined again on the
+        same legs is not indexed again; a result of ``contract`` is joined
+        once, so if neither side is stored, ``other`` is indexed for this
+        call only.  A kept index never skips the count.
+
         The set-up is linear in the number of legs: one pass over the legs
         of ``self``, looked up in a dict of ``other``'s positions, finds the
         shared legs and checks their dimensions; the key getters are
@@ -174,23 +194,38 @@ class GradedTensor:
                                  f"{self.dims[i]} vs {other.dims[j]}")
             my_pair.append(i)
             ot_pair.append(j)
-        # Hash-join on the shared index values.  The two bucket keys need only
-        # agree with each other; the kept parts are concatenated, so tuples.
-        if my_pair:
-            my_bucket, ot_bucket = itemgetter(*my_pair), itemgetter(*ot_pair)
-        else:
-            my_bucket = ot_bucket = itemgetter(slice(0, 0))
         my_part, ot_part = _run_getter(my_keep), _run_getter(list(where.values()))
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
         limit = _network_cap.get() or entry_cap()
-        buckets = {}
-        for key, value in other.data.items():
-            buckets.setdefault(ot_bucket(key), []).append((ot_part(key), value))
+        # Hash-join on the shared index values; ``mine`` says self is the
+        # indexed side (see above for which side that is).
+        mine = self._index is not None and (other._index is None or len(self.data) > len(other.data))
+        if mine:
+            indexed, ix_part, scanned, scan_part = self, my_part, other, ot_part
+            pairs = sorted(zip(my_pair, ot_pair))
+        else:
+            indexed, ix_part, scanned, scan_part = other, ot_part, self, my_part
+            pairs = sorted(zip(ot_pair, my_pair))
+        # The index keys on the indexed side's positions in increasing order,
+        # so one index serves every order of those legs; the scan reads its
+        # partners in the same order.  A bucket key is a value, a tuple or ().
+        ix_pos = tuple(i for i, _ in pairs)
+        scan_bucket = itemgetter(*(j for _, j in pairs)) if pairs else itemgetter(slice(0, 0))
+        cache = indexed._index
+        buckets = None if cache is None else cache.get(ix_pos)
+        if buckets is None:
+            ix_bucket = itemgetter(*ix_pos) if ix_pos else itemgetter(slice(0, 0))
+            buckets = {}
+            for key, value in indexed.data.items():
+                buckets.setdefault(ix_bucket(key), []).append((ix_part(key), value))
+            if cache is not None:  # kept as tuples: fixed, and no spare list slots held
+                buckets = cache[ix_pos] = {k: tuple(v) for k, v in buckets.items()}
+        # The result keys are self's kept part, then other's.
         acc = {}
         products = 0
-        for key, value in self.data.items():
-            hits = buckets.get(my_bucket(key))
+        for key, value in scanned.data.items():
+            hits = buckets.get(scan_bucket(key))
             if not hits:
                 continue
             products += len(hits)
@@ -201,10 +236,10 @@ class GradedTensor:
                     f"contraction would compute at least {products} products (cap {limit}); "
                     f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
                 )
-            base = my_part(key)
-            for rest, other_value in hits:
-                new_key = base + rest
-                term = other_value if value is ONE else value if other_value is ONE else value * other_value
+            base = scan_part(key)
+            for rest, ix_value in hits:
+                new_key = rest + base if mine else base + rest
+                term = ix_value if value is ONE else value if ix_value is ONE else value * ix_value
                 prev = acc.get(new_key)
                 if prev is None:
                     acc[new_key] = term
@@ -215,7 +250,7 @@ class GradedTensor:
                 else:
                     acc[new_key] = total
         out = GradedTensor.__new__(GradedTensor)  # no label check, see above
-        out.labels, out.dims, out.data = labels, dims, acc
+        out.labels, out.dims, out.data, out._index = labels, dims, acc, None
         return out
 
     # -- comparison -----------------------------------------------------------

@@ -115,12 +115,23 @@ def join_operands(draw):
     """Two sparse tensors over legs of dimension 0..3 that share 0, 1 or 2
     legs, or all of them, each with its legs in a drawn order; or two
     ``relabel`` views of one stored tensor, as ``validate_hopf`` contracts
-    ``mul.relabel("xym")`` with ``mul.relabel("mzo")``."""
+    ``mul.relabel("xym")`` with ``mul.relabel("mzo")``.  Each operand is
+    then kept as drawn, stored; or made a ``relabel`` view of a stored
+    tensor on other labels; or a ``contract`` result, which keeps no index."""
 
     def entries(sizes):
         keys = list(itertools.product(*map(range, sizes)))
         values = draw(st.lists(st.sampled_from((None,) + ENTRY_VALUES), min_size=len(keys), max_size=len(keys)))
         return {k: v for k, v in zip(keys, values) if v is not None}
+
+    def form(t):
+        kind = draw(st.sampled_from(["stored", "view", "result"]))
+        if kind == "view":
+            return GradedTensor.from_stored([("v", i) for i in range(len(t.dims))], t.dims, t.data).relabel(t.labels)
+        if kind == "result":
+            # an outer product with the scalar ONE takes each entry as it is
+            return t.contract(GradedTensor((), (), {(): ONE}))
+        return t
 
     kind = draw(st.sampled_from(["all-shared", "some-shared", "views"]))
     if kind == "views":
@@ -132,7 +143,7 @@ def join_operands(draw):
         for k, size in enumerate(sizes):
             partners = [label for label, dim in zip(mine, sizes) if dim == size and label not in theirs]
             theirs.append(draw(st.sampled_from([("b", k)] + partners)))
-        return stored.relabel(mine), stored.relabel(theirs)
+        return form(stored.relabel(mine)), form(stored.relabel(theirs))
     if kind == "all-shared":
         shared, mine, theirs = draw(st.integers(1, 3)), 0, 0
     else:
@@ -143,7 +154,7 @@ def join_operands(draw):
     def tensor(side, count):
         labels = draw(st.permutations([("s", i) for i in range(shared)] + [(side, i) for i in range(count)]))
         sizes = tuple(dims[label] for label in labels)
-        return GradedTensor.from_stored(labels, sizes, entries(sizes))
+        return form(GradedTensor.from_stored(labels, sizes, entries(sizes)))
 
     return tensor("a", mine), tensor("b", theirs)
 
@@ -165,13 +176,22 @@ def dense_contract(a, b):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(join_operands())
-def test_contract_matches_dense_reference(operands):
+def test_contract_matches_dense_reference(permute, operands):
     a, b = operands
-    got = a.contract(b)
     labels, dims, want = dense_contract(a, b)
-    assert (got.labels, got.dims) == (labels, dims)
-    assert {k: got.entry(k) for k in want} == want
-    assert not any(v.is_zero() for v in got.data.values())
+    # The first join builds the index of a stored operand, the second reads it.
+    for _ in range(2):
+        got = a.contract(b)
+        assert (got.labels, got.dims) == (labels, dims)
+        assert {k: got.entry(k) for k in want} == want
+        assert not any(v.is_zero() for v in got.data.values())
+        assert got._index is None
+    # The other way round the other operand may be the indexed one; the
+    # result is the same tensor with its legs in the other order.
+    for _ in range(2):
+        swapped = b.contract(a)
+        assert not any(v.is_zero() for v in swapped.data.values())
+        assert permute(swapped, [swapped.labels.index(x) for x in got.labels]) == got
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -494,6 +514,131 @@ def test_the_plan_cache_is_bounded_and_holds_no_tensor():
     contract_network([node, vec("b", [1, 2]), vec("a", [3, 4])])
     del node
     assert [ref() for ref in refs] == [None, None]
+
+
+# -- the hash-join indexes a stored tensor keeps -------------------------------------
+
+
+def assert_index_is_true(t):
+    # each kept index is keyed by increasing leg positions and files every
+    # stored entry once, under its values there, as its kept part
+    assert len(t._index) <= 2 ** len(t.dims)
+    for positions, buckets in t._index.items():
+        assert list(positions) == sorted(set(positions)) and all(0 <= i < len(t.dims) for i in positions)
+        rest = [i for i in range(len(t.dims)) if i not in positions]
+        filed = {}
+        for bucket, hits in buckets.items():
+            for part, value in hits:
+                key = [None] * len(t.dims)
+                for i, v in zip(positions, bucket if isinstance(bucket, tuple) else (bucket,)):
+                    key[i] = v
+                for i, v in zip(rest, part):
+                    key[i] = v
+                assert tuple(key) not in filed
+                filed[tuple(key)] = value
+        assert filed == t.data
+
+
+def test_relabel_views_share_one_index_per_leg_pattern():
+    m = matrix("r", "c", [[1, 2], [3, 4], [5, 6]])
+    views = [m.relabel("rc"), m.relabel("xy"), m.relabel("yx")]
+    assert all(view._index is m._index for view in views)
+    assert m._index == {}
+    # a stored tensor joined with a result is indexed: one index for leg 1,
+    # read in every later join on that leg, whatever its label there
+    column = vec("c", [1, -1]).contract(GradedTensor((), (), {(): ONE}))
+    assert column._index is None
+    views[0].contract(column)
+    buckets = m._index[(1,)]
+    assert views[1].contract(column.relabel("y")) == vec("x", [-1, -1, -1])
+    assert views[2].contract(column.relabel("x")) == vec("y", [-1, -1, -1])
+    assert list(m._index) == [(1,)] and m._index[(1,)] is buckets
+    assert_index_is_true(m)
+    # two legs, scanned in either order, share the index of their positions
+    unit = GradedTensor((), (), {(): ONE})
+    mask = matrix("x", "y", [[1, 0], [0, 1], [1, 1]]).contract(unit)
+    assert views[1].contract(mask).as_scalar() == Scalar(1 + 4 + 5 + 6)
+    transposed = matrix("x", "y", [[1, 0, 1], [0, 1, 1]]).contract(unit)
+    assert views[2].contract(transposed).as_scalar() == Scalar(1 + 4 + 5 + 6)
+    assert list(m._index) == [(1,), (0, 1)]
+    assert_index_is_true(m)
+    # a result keeps no index, nor do its views
+    result = m.contract(vec("c", [1, 1]))
+    assert result._index is None and result.relabel("z")._index is None
+
+
+def test_the_second_pass_over_a_family_builds_no_index():
+    # every coloring of L(p), p <= 24, under a fresh kp, twice: the first
+    # pass indexes the structure tensors, the second reads those indexes
+    kp = hopfk.build_kac_paljutkin()
+    networks = [
+        lambda D=D, colors=colors: diagram_nodes(kp, D.with_colors(kp.pi, colors))
+        for D in map(lens_diagram, range(1, 25))
+        for colors in enumerate_colorings(D, kp.pi)
+    ]
+
+    def one_pass():
+        values, kept = [], {}
+        for build in networks:
+            nodes = build()
+            values.append(contract_network(nodes).as_scalar())
+            kept.update((id(t._index), t) for t in nodes if t._index is not None)
+        return values, kept
+
+    first, stored = one_pass()
+    built = {key: {positions: id(b) for positions, b in t._index.items()} for key, t in stored.items()}
+    assert sum(map(len, built.values())) > 0
+    second, again = one_pass()
+    assert second == first
+    assert again.keys() <= stored.keys()
+    assert {key: {positions: id(b) for positions, b in t._index.items()} for key, t in stored.items()} == built
+    for t in stored.values():
+        assert_index_is_true(t)
+
+
+def test_an_index_is_freed_with_its_tensor_and_holds_no_operand():
+    class Entries(dict):  # a dict subclass, so a weakref can watch one
+        pass
+
+    class Watched(Scalar):  # a Scalar subclass, so a weakref can watch one
+        pass
+
+    # node has more entries than its partner, so node is the indexed side;
+    # the partner's entries are ONE, so the join takes node's values as they are
+    node = GradedTensor.from_stored(("a", "b"), (2, 2), Entries({(0, 0): Watched(1), (0, 1): Watched(2), (1, 0): Watched(3)}))
+    partner = GradedTensor.from_stored(("b",), (2,), Entries({(0,): ONE, (1,): ONE}))
+    assert node.contract(partner) == vec("a", [3, 3])
+    assert list(node._index) == [(1,)] and partner._index == {}
+    refs = weakref.ref(partner), weakref.ref(partner.data)
+    del partner
+    assert [ref() for ref in refs] == [None, None]
+    # a network: node, stored, is indexed against the results it meets
+    assert contract_network([node, vec("b", [1, 2]), vec("a", [3, 4])]).as_scalar() == Scalar(1 * 1 * 3 + 2 * 2 * 3 + 3 * 1 * 4)
+    assert_index_is_true(node)
+    refs = weakref.ref(node), weakref.ref(node.data), weakref.ref(node.data[(0, 1)])
+    del node
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+@pytest.mark.parametrize("shapes", [(4, 4, 4), (4, 4, 2)], ids=["other-indexed", "self-indexed"])
+def test_a_warm_index_never_skips_the_entry_cap(monkeypatch, shapes):
+    # 4x4 times 4x4: a tie, so other is indexed, 4 hits per row of self;
+    # 4x4 times 4x2: self has more entries and is indexed, 4 hits per row
+    # of other.  Either way the third scanned row passes a cap of 8.
+    a, b, c = shapes
+    message = ("contraction would compute at least 12 products (cap 8); "
+               "open legs 'a' (dim 4), 'c' (dim %d); contracted over 'b'" % c)
+    for warm in (False, True):
+        left, right = matrix("a", "b", [[1] * b] * a), matrix("b", "c", [[1] * c] * b)
+        if warm:
+            monkeypatch.delenv("HOPFK_ENTRY_CAP", raising=False)
+            assert left.contract(right) == matrix("a", "c", [[4] * c] * a)
+            assert len(left._index) + len(right._index) == 1
+        monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
+        for join in (lambda: left.contract(right), lambda: contract_network([left, right])):
+            with pytest.raises(EntryCapExceeded) as exc:
+                join()
+            assert str(exc.value) == message
 
 
 def test_a_network_reads_the_entry_cap_once(monkeypatch):
