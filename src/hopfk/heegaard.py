@@ -75,6 +75,23 @@ _SLOTS_POS = (("l", "out"), ("u", "out"), ("l", "in"), ("u", "in"))
 _SLOTS_NEG = (("l", "out"), ("u", "in"), ("l", "in"), ("u", "out"))
 
 
+# Dart s of a crossing, for s = 0..3, is the arc-end _ENDS[s]; the dart s
+# of the k-th crossing is numbered 4k + s.
+_ENDS = (("u", "out"), ("u", "in"), ("l", "out"), ("l", "in"))
+
+
+def _turn(slots):
+    """Per dart s, the dart next counterclockwise in ``slots``."""
+    where = [_ENDS.index(slot) for slot in slots]
+    turn = [0] * 4
+    for t, s in enumerate(where):
+        turn[s] = where[(t + 1) % 4]
+    return tuple(turn)
+
+
+_TURN_POS, _TURN_NEG = _turn(_SLOTS_POS), _turn(_SLOTS_NEG)
+
+
 def euler_certificate(D: Diagram):
     """Total genus demanded by the rotation system, summed over connected
     components of the crossing graph, plus the component count.
@@ -85,22 +102,23 @@ def euler_certificate(D: Diagram):
     genus is c - chi/2 for chi = V - E + F counted once over all darts.
     Circles without crossings do not constrain the surface and are ignored
     here.
-    """
-    theta = {}
-    for kind, orders in zip("ul", D.families()):
-        for order in orders:
-            for cid, nxt in zip(order, order[1:] + order[:1]):
-                theta[(cid, kind, "out")] = (nxt, kind, "in")
-                theta[(nxt, kind, "in")] = (cid, kind, "out")
-    rho = {}
-    for c in D.crossings:
-        slots = _SLOTS_POS if c.sign == 1 else _SLOTS_NEG
-        for t, (kind, way) in enumerate(slots):
-            nk, nw = slots[(t + 1) % 4]
-            rho[(c.id, kind, way)] = (c.id, nk, nw)
 
-    # Connected components of the crossing graph (via shared circles).
-    parent = {c.id: c.id for c in D.crossings}
+    The k-th crossing is numbered k, and its darts 4k + s (see ``_ENDS``),
+    so theta and rho are lists, the union-find parents a list, and the
+    visited darts a bytearray; each crossing id is hashed once per order
+    it appears in.  The count assumes what ``validate_diagram`` checks
+    first: distinct crossing ids, each in one upper and one lower order.
+    A crossing in neither counts only as a vertex and a component.
+    """
+    n = len(D.crossings)
+    number = {c.id: k for k, c in enumerate(D.crossings)}
+    rho = [
+        4 * k + s
+        for k, c in enumerate(D.crossings)
+        for s in (_TURN_POS if c.sign == 1 else _TURN_NEG)
+    ]
+    theta = [None] * (4 * n)
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -108,23 +126,29 @@ def euler_certificate(D: Diagram):
             x = parent[x]
         return x
 
-    for orders in D.families():
+    # The "out" dart of each family; its "in" dart is one more.
+    for out, orders in zip((0, 2), D.families()):
         for order in orders:
-            for a, b in zip(order, order[1:]):
+            ks = [number[cid] for cid in order]
+            for k, nxt in zip(ks, ks[1:] + ks[:1]):
+                theta[4 * k + out] = 4 * nxt + out + 1
+                theta[4 * nxt + out + 1] = 4 * k + out
+            # Connected components of the crossing graph (via shared circles).
+            for a, b in zip(ks, ks[1:]):
                 parent[find(a)] = find(b)
-    components = len({find(c.id) for c in D.crossings})
+    components = len({find(k) for k in range(n)})
 
-    seen = set()
+    seen = bytearray(4 * n)
     faces = 0
-    for start in theta:
-        if start in seen:
+    for start, image in enumerate(theta):
+        if seen[start] or image is None:
             continue
         faces += 1
         d = start
-        while d not in seen:
-            seen.add(d)
+        while not seen[d]:
+            seen[d] = 1
             d = rho[theta[d]]
-    chi = len(D.crossings) - len(theta) // 2 + faces
+    chi = n - (4 * n - theta.count(None)) // 2 + faces
     return components - chi // 2, components
 
 

@@ -303,17 +303,27 @@ def contract_network(nodes) -> GradedTensor:
     return result
 
 
-def _merged_size(a, b) -> int:
-    """Dense size of the legs left open by contracting the shapes ``a`` and
-    ``b``, each a pair (labels, dims)."""
-    open_b = dict(zip(*b))
-    size = 1
-    for label, dim in zip(*a):
-        if label in open_b:
-            del open_b[label]
-        else:
-            size *= dim
-    return math.prod(open_b.values(), start=size)
+def _open_size(x_legs, x_size, y_legs, y_size) -> int:
+    """Dense size of the legs left open by contracting two planner nodes,
+    each given as its legs, a dict from label code to dim, and its size,
+    the product of those dims.
+
+    Each node's own dims over the legs the two share divide its size, so
+    the open size is ``(x_size // x_shared) * (y_size // y_shared)``, with
+    both ``shared`` products found in one pass over the node with fewer
+    legs.  A size of 0 has no such quotient; then the open dims are
+    multiplied out."""
+    if not (x_size and y_size):
+        return (math.prod([d for c, d in x_legs.items() if c not in y_legs])
+                * math.prod([d for c, d in y_legs.items() if c not in x_legs]))
+    if len(x_legs) > len(y_legs):
+        x_legs, x_size, y_legs, y_size = y_legs, y_size, x_legs, x_size
+    x_shared = y_shared = 1
+    for code, dim in x_legs.items():
+        if code in y_legs:
+            x_shared *= dim
+            y_shared *= y_legs[code]
+    return (x_size // x_shared) * (y_size // y_shared)
 
 
 @functools.lru_cache(maxsize=32)
@@ -327,53 +337,64 @@ def plan_network(shapes):
     ``len(shapes) + k``.  ``left`` lists the ids left over, one per
     component, in id order.
 
-    Each node has an id, and a merged node gets a fresh id larger than all
-    before it, so id order is insertion order.  An index maps each label
-    to the ids of the live nodes carrying it, and a heap holds ``(merged
-    open size, id_a, id_b)`` with ``id_a < id_b`` for every connected pair;
-    its minimum is the next merge.  Entries naming a node already merged
+    Each distinct label is hashed once, to an int code in order of first
+    appearance, and the rest of the work is on codes.  A live node's legs
+    are a dict from code to dim, in leg order, and its dense size is kept
+    beside them.  Each node has an id, and a merged node gets a fresh id
+    larger than all before it, so id order is insertion order.  An index
+    maps each code to the ids of the live nodes carrying it, and a heap
+    holds ``(merged open size, id_a, id_b)`` with ``id_a < id_b`` for every
+    connected pair; its minimum is the next merge, and its open size is the
+    merged node's dense size.  A pair's open size comes from the two kept
+    sizes and one pass over the smaller node, or from the open dims where
+    a size is 0 (see ``_open_size``).  Entries naming a node already merged
     are skipped when popped, and a merged node pushes entries only for its
-    neighbours, the other live nodes its labels reach through the index.
+    neighbours, the other live nodes its codes reach through the index.
     A merged node's legs are those ``contract`` gives: the legs of ``a``
     that ``b`` lacks, then the rest of ``b``'s.  The cache key holds
     labels and dims only, so it keeps no tensor alive.
     """
-    live = dict(enumerate(shapes))
-    index = {}
-    for i, (labels, _) in live.items():
-        for label in labels:
-            index.setdefault(label, set()).add(i)
+    codes, index, live, sizes = {}, [], {}, []
+    for i, (labels, dims) in enumerate(shapes):
+        legs = live[i] = {}
+        for label, dim in zip(labels, dims):
+            code = codes.get(label)
+            if code is None:
+                code = codes[label] = len(index)
+                index.append({i})
+            else:
+                index[code].add(i)
+            legs[code] = dim
+        sizes.append(math.prod(dims))
     heap = [
-        (_merged_size(live[i], live[j]), i, j)
-        for i, j in {(i, j) for ids in index.values() for i in ids for j in ids if i < j}
+        (_open_size(live[i], sizes[i], live[j], sizes[j]), i, j)
+        for i, j in {(i, j) for ids in index for i in ids for j in ids if i < j}
     ]
     heapq.heapify(heap)
     merges = []
     next_id = len(shapes)
     while heap:
-        _, a, b = heapq.heappop(heap)
+        size, a, b = heapq.heappop(heap)
         if a not in live or b not in live:
             continue
-        (a_labels, a_dims), (b_labels, b_dims) = live.pop(a), live.pop(b)
-        for i, labels in ((a, a_labels), (b, b_labels)):
-            for label in labels:
-                index[label].discard(i)
-        open_b = dict(zip(b_labels, b_dims))
-        labels, dims = [], []
-        for label, dim in zip(a_labels, a_dims):
-            if label in open_b:
-                del open_b[label]
-            else:
-                labels.append(label)
-                dims.append(dim)
-        merged = (*labels, *open_b), (*dims, *open_b.values())
+        a_legs, b_legs = live.pop(a), live.pop(b)
+        legs = {}
+        for code, dim in a_legs.items():
+            index[code].discard(a)
+            if code not in b_legs:
+                legs[code] = dim
+        for code, dim in b_legs.items():
+            index[code].discard(b)
+            if code not in a_legs:
+                legs[code] = dim
         neighbours = set()
-        for label in merged[0]:
-            neighbours |= index[label]
-            index[label].add(next_id)
+        for code in legs:
+            neighbours |= index[code]
+            index[code].add(next_id)
         for j in neighbours:
-            heapq.heappush(heap, (_merged_size(live[j], merged), j, next_id))
-        live[next_id] = merged
+            heapq.heappush(heap, (_open_size(live[j], sizes[j], legs, size), j, next_id))
+        live[next_id] = legs
+        sizes.append(size)
         merges.append((a, b))
         next_id += 1
     return tuple(merges), tuple(live)

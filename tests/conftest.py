@@ -1,5 +1,7 @@
 import functools
+import heapq
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -87,6 +89,69 @@ def _scan_network(nodes, pick=min):
 @pytest.fixture(scope="session")
 def scan_network():
     return _scan_network
+
+
+def _reference_open_size(a, b):
+    """Dense size of the legs left open by contracting the shapes ``a`` and
+    ``b``, each a pair (labels, dims)."""
+    open_b = dict(zip(*b))
+    size = 1
+    for label, dim in zip(*a):
+        if label in open_b:
+            del open_b[label]
+        else:
+            size *= dim
+    return math.prod(open_b.values(), start=size)
+
+
+def _reference_plan(shapes):
+    """``tensors.plan_network`` as it was before labels were coded as ints:
+    the same heap and tie-break, keyed on label tuples, and each pair's
+    open size built afresh from the two shapes."""
+    live = dict(enumerate(shapes))
+    index = {}
+    for i, (labels, _) in live.items():
+        for label in labels:
+            index.setdefault(label, set()).add(i)
+    heap = [
+        (_reference_open_size(live[i], live[j]), i, j)
+        for i, j in {(i, j) for ids in index.values() for i in ids for j in ids if i < j}
+    ]
+    heapq.heapify(heap)
+    merges = []
+    next_id = len(shapes)
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        (a_labels, a_dims), (b_labels, b_dims) = live.pop(a), live.pop(b)
+        for i, labels in ((a, a_labels), (b, b_labels)):
+            for label in labels:
+                index[label].discard(i)
+        open_b = dict(zip(b_labels, b_dims))
+        labels, dims = [], []
+        for label, dim in zip(a_labels, a_dims):
+            if label in open_b:
+                del open_b[label]
+            else:
+                labels.append(label)
+                dims.append(dim)
+        merged = (*labels, *open_b), (*dims, *open_b.values())
+        neighbours = set()
+        for label in merged[0]:
+            neighbours |= index[label]
+            index[label].add(next_id)
+        for j in neighbours:
+            heapq.heappush(heap, (_reference_open_size(live[j], merged), j, next_id))
+        live[next_id] = merged
+        merges.append((a, b))
+        next_id += 1
+    return tuple(merges), tuple(live)
+
+
+@pytest.fixture(scope="session")
+def reference_plan():
+    return _reference_plan
 
 
 @pytest.fixture()

@@ -5,7 +5,10 @@ import pytest
 
 from hopfk.fuzz import random_diagram, random_move_walk
 from hopfk.groups import Word, cyclic_group, symmetric_group
+from hopfk import heegaard
 from hopfk.heegaard import (
+    _SLOTS_NEG,
+    _SLOTS_POS,
     Crossing,
     Diagram,
     MoveError,
@@ -331,3 +334,87 @@ def test_certificate_adds_over_components():
         assert euler_certificate(mirror_diagram(A)) == (ga, ca)
         counts.add(ca)
     assert {2, 3} <= counts
+
+
+# -- the Euler certificate against the dict-of-tuples count it replaced -------------
+
+
+def reference_certificate(D):
+    """``euler_certificate`` as it was before the darts were numbered: theta
+    and rho map darts (crossing id, "u" or "l", "in" or "out") to darts,
+    the union-find and the visited darts are a dict and a set."""
+    theta = {}
+    for kind, orders in zip("ul", D.families()):
+        for order in orders:
+            for cid, nxt in zip(order, order[1:] + order[:1]):
+                theta[(cid, kind, "out")] = (nxt, kind, "in")
+                theta[(nxt, kind, "in")] = (cid, kind, "out")
+    rho = {}
+    for c in D.crossings:
+        slots = _SLOTS_POS if c.sign == 1 else _SLOTS_NEG
+        for t, (kind, way) in enumerate(slots):
+            nk, nw = slots[(t + 1) % 4]
+            rho[(c.id, kind, way)] = (c.id, nk, nw)
+    parent = {c.id: c.id for c in D.crossings}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for orders in D.families():
+        for order in orders:
+            for a, b in zip(order, order[1:]):
+                parent[find(a)] = find(b)
+    components = len({find(c.id) for c in D.crossings})
+    seen = set()
+    faces = 0
+    for start in theta:
+        if start in seen:
+            continue
+        faces += 1
+        d = start
+        while d not in seen:
+            seen.add(d)
+            d = rho[theta[d]]
+    chi = len(D.crossings) - len(theta) // 2 + faces
+    return components - chi // 2, components
+
+
+def test_certificate_matches_the_dict_reference(monkeypatch):
+    # Every diagram apply_move certifies during the seeded walks, the
+    # candidates it refuses too, is checked through a wrapper.
+    checked = []
+    certificate = heegaard.euler_certificate
+
+    def compared(D):
+        got = certificate(D)
+        assert got == reference_certificate(D), D
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(heegaard, "euler_certificate", compared)
+    rng = random.Random(29)
+    for _ in range(250):
+        D = random_diagram(rng, genus_max=4, max_crossings=12)
+        compared(D)
+        random_move_walk(rng, D, steps=8, max_crossings=20)
+    for p in range(1, 101):
+        L = lens_diagram(p)
+        compared(L)
+        compared(mirror_diagram(L))
+        compared(connected_sum(L, lens_diagram(p % 7 + 1)))
+        compared(mirror_diagram(connected_sum(random_diagram(rng, genus_max=3), L)))
+    twisted = Diagram(1, (Crossing(0, 0, 0, 1), Crossing(1, 0, 0, -1)), ((0, 1),), ((0, 1),))
+    compared(twisted)
+    # A crossing on no circle has no darts to walk but counts as a vertex
+    # and a component, in both.
+    for p in (1, 2, 5):
+        L = lens_diagram(p)
+        compared(replace(L, crossings=(Crossing(p, 0, 0, -1),) + L.crossings))
+    # Refused moves demand more genus than the diagram has; several
+    # components come from the random diagrams and the sums.
+    assert any(g > 4 for g, _ in checked)
+    assert {1, 2, 3} <= {c for _, c in checked}
+    assert len(checked) > 3000

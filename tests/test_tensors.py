@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import math
 import pathlib
 import random
 import weakref
@@ -13,7 +14,7 @@ import hopfk
 from hopfk import tensors
 from hopfk.cli import main
 from hopfk.fuzz import random_diagram
-from hopfk.heegaard import connected_sum, enumerate_colorings, lens_diagram, mirror_diagram
+from hopfk.heegaard import Crossing, Diagram, connected_sum, enumerate_colorings, lens_diagram, mirror_diagram
 from hopfk.invariant import diagram_nodes
 from hopfk.scalars import I, ONE, Scalar, ZERO
 from hopfk.tensors import (
@@ -197,18 +198,27 @@ def test_contract_matches_dense_reference(permute, operands):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_merged_size_is_the_open_dense_size(data):
-    # the planner's key, read from two (labels, dims) shapes, against the
+    # the planner's key, read from two nodes as the planner keeps them (legs
+    # as a dict from label code to dim, and the dense size), against the
     # product the reference planner takes: labels overlap at random, in any
-    # order, and some legs have dimension 0
+    # order, and some legs have dimension 0.  One more shared label, -1,
+    # has a different dim in each shape, so a key that read one dim per
+    # label for both nodes would be off.
     dims = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=24))
     legs = st.lists(st.integers(0, len(dims) - 1), unique=True, max_size=12)
     a, b = ((tuple(labels), tuple(dims[x] for x in labels)) for labels in (data.draw(legs), data.draw(legs)))
+    odd = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+    a, b = ((labels[:at] + (-1,) + labels[at:], sizes[:at] + (dim,) + sizes[at:])
+            for (labels, sizes), dim in zip((a, b), odd)
+            for at in [data.draw(st.integers(0, len(labels)))])
     shared = set(a[0]) & set(b[0])
     size = 1
     for label, dim in zip(a[0] + b[0], a[1] + b[1]):
         if label not in shared:
             size *= dim
-    assert tensors._merged_size(a, b) == size
+    nodes = [(dict(zip(*shape)), math.prod(shape[1])) for shape in (a, b)]
+    assert tensors._open_size(*nodes[0], *nodes[1]) == size
+    assert tensors._open_size(*nodes[1], *nodes[0]) == size
 
 
 def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
@@ -497,6 +507,73 @@ def test_a_dimension_is_part_of_the_shape(scan_network, contraction_log):
     assert plans == [(((0, 1), (2, 3), (4, 5)), (6,)), (((1, 2), (3, 4), (0, 5)), (6,))]
     for nodes in (narrow, wide):
         assert_same_plan(scan_network, contraction_log, nodes, warm=True)
+
+
+# Labels of two kinds, as the package has both: short strings and tuples.
+PLAN_LABELS = ("x", "y", "z", "w", ("u", 0, 1), ("l", 2, 0), ("u", 1, 1), (0, "in"))
+
+
+@st.composite
+def network_shapes(draw):
+    """The shapes of a network: each label held by one, two or three nodes,
+    some nodes holding none, dims 0..4 per label or per leg, each node's
+    legs in a drawn order, and some nodes' shapes repeated."""
+    count = draw(st.integers(1, 8))
+    held = {i: [] for i in range(count)}
+    dims = {}
+    for label in draw(st.lists(st.sampled_from(PLAN_LABELS), unique=True, max_size=len(PLAN_LABELS))):
+        dims[label] = draw(st.integers(0, 4))
+        for i in draw(st.lists(st.integers(0, count - 1), unique=True, min_size=1, max_size=min(3, count))):
+            held[i].append(label)
+    per_leg = draw(st.booleans())
+    shapes = []
+    for labels in held.values():
+        labels = tuple(draw(st.permutations(labels)))
+        shapes.append((labels, tuple(draw(st.integers(0, 4)) if per_leg else dims[x] for x in labels)))
+    for _ in range(draw(st.integers(0, 2))):
+        shapes.append(draw(st.sampled_from(shapes)))
+    return tuple(shapes)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(network_shapes())
+def test_planner_matches_the_reference_planner(reference_plan, shapes):
+    assert tensors.plan_network.__wrapped__(shapes) == reference_plan(shapes)
+
+
+def test_planner_matches_the_reference_planner_on_lens_spaces(kp, reference_plan):
+    # L(p, q) for every p <= 64: one upper and one lower circle meeting p
+    # times, the lower one in the order k q mod p, whose networks merge into
+    # tensors with many open legs for q far from 1.  At most about eight q
+    # prime to p, spread over 1..p, keep the two planners near a second.
+    for p in range(1, 65):
+        coprime = [q for q in range(1, p + 1) if math.gcd(p, q) == 1]
+        for q in coprime[::max(1, p // 8)]:
+            D = Diagram(1, tuple(Crossing(k, 0, 0, 1) for k in range(p)),
+                        (tuple(range(p)),), (tuple(k * q % p for k in range(p)),))
+            nodes = diagram_nodes(kp, D.with_colors(kp.pi, (kp.pi.identity,)))
+            shapes = tuple((t.labels, t.dims) for t in nodes)
+            assert tensors.plan_network.__wrapped__(shapes) == reference_plan(shapes), (p, q)
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([(("b",), (1,)), (("e", "c", "d"), (4, 2, 2)), (("d", "b"), (1, 1)), (("d",), (2,))],
+     "leg 'd' dimension mismatch: 2 vs 1"),
+    ([(("c", "a"), (4, 1)), (("a", "e", "b"), (2, 2, 1)), (("b",), (1,)), (("c",), (4,))],
+     "leg 'a' dimension mismatch: 2 vs 1"),
+], ids=["d", "a"])
+def test_a_dimension_mismatch_is_refused_cold_and_warm(shapes, message):
+    # A shared leg with two dims is refused by the contraction that joins
+    # it, whichever that is; the plan decides which, and so which dim is
+    # named first.  A planner that kept one dim per label would merge in
+    # another order here and name them the other way round.
+    nodes = [GradedTensor(labels, dims, {(0,) * len(dims): ONE}) for labels, dims in shapes]
+    tensors.plan_network.cache_clear()
+    for warm in (False, True):
+        with pytest.raises(ValueError) as exc:
+            contract_network(nodes)
+        assert str(exc.value) == message
+        assert tensors.plan_network.cache_info()[:2] == (int(warm), 1)
 
 
 def test_the_plan_cache_is_bounded_and_holds_no_tensor():
