@@ -349,7 +349,7 @@ def parse_diagram(data, pi: GroupTable = None, ignore_colors=False) -> Diagram:
         if not isinstance(colors, list):
             raise DataFormatError(f"colors must be a list of group elements, got {colors!r}")
         colors = tuple(element_index(pi, v) for v in colors)
-    return Diagram(genus, crossings, upper, lower, colors, pi if colors else None)
+    return Diagram(genus, crossings, upper, lower, colors, pi if colors is not None else None)
 
 
 def dump_diagram(D: Diagram) -> dict:

@@ -273,10 +273,17 @@ def connected_sum(D1: Diagram, D2: Diagram) -> Diagram:
 
 
 def mirror_diagram(D: Diagram) -> Diagram:
+    """The diagram with every crossing sign flipped and, if colored, every
+    color inverted.
+
+    Flipping every sign inverts every letter of every relator, so x_k is
+    carried to x_k^-1; inverting each upper color, as reversing one upper
+    circle does, keeps the color condition.  Mirroring twice gives D back."""
     flipped = tuple(
         Crossing(c.id, c.upper, c.lower, -c.sign) for c in D.crossings
     )
-    return replace(D, crossings=flipped)
+    colors = tuple(D.pi.inverse[a] for a in D.colors) if D.colored else None
+    return replace(D, crossings=flipped, colors=colors)
 
 
 # -- moves --------------------------------------------------------------------

@@ -47,25 +47,13 @@ def entry_cap() -> int:
 
 
 def projection(indices):
-    """The C-level getter ``key -> tuple(key[i] for i in indices)``.
-
-    A contiguous run, which includes one index and none, is a slice, so it
-    still returns a tuple; any other run has two or more indices, for which
-    ``itemgetter`` returns a tuple too."""
+    """The C-level getter ``key -> tuple(key[i] for i in indices)``:
+    ``itemgetter(*indices)`` for two or more indices, and a slice, which
+    returns a tuple too, for one or none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
     start = indices[0] if indices else 0
-    if list(indices) == list(range(start, start + len(indices))):
-        return itemgetter(slice(start, start + len(indices)))
-    return itemgetter(*indices)
-
-
-def _run_getter(positions):
-    """``projection(positions)`` for increasing ``positions``, whose ends
-    alone tell whether they are one contiguous run, so no scan."""
-    count = len(positions)
-    if count > 1 and positions[-1] - positions[0] != count - 1:
-        return itemgetter(*positions)
-    start = positions[0] if positions else 0
-    return itemgetter(slice(start, start + count))
+    return itemgetter(slice(start, start + len(indices)))
 
 
 class GradedTensor:
@@ -173,28 +161,30 @@ class GradedTensor:
         once, so if neither side is stored, ``other`` is indexed for this
         call only.  A kept index never skips the count.
 
-        The set-up is linear in the number of legs: one pass over the legs
-        of ``self``, looked up in a dict of ``other``'s positions, finds the
-        shared legs and checks their dimensions; the key getters are
-        ``itemgetter``s built from those positions.  The result skips the
-        constructor's repeated-label check: its legs are those of ``self``
-        that ``other`` lacks, then the rest of ``other``'s, so no label
-        repeats.
+        The set-up walks the legs of ``self`` once against a dict of
+        ``other``'s positions: it lists ``self``'s kept positions and one
+        ``(self position, other position)`` pair per shared leg, checking
+        their dimensions.  The pairs are in ``self``'s order, which the
+        index keys on when ``self`` is indexed; they are flipped and sorted
+        when ``other`` is.  Kept parts are read by ``projection``; the
+        bucket getters are bare ``itemgetter``s, so one shared leg gives a
+        scalar bucket key.  The result skips the constructor's
+        repeated-label check: its legs are those of ``self`` that ``other``
+        lacks, then the rest of ``other``'s, so no label repeats.
         """
         # The positions left in ``where`` are other's kept legs, in order.
         where = dict(zip(other.labels, range(len(other.labels))))
-        my_keep, my_pair, ot_pair = [], [], []
+        keep, pairs = [], []
         for i, label in enumerate(self.labels):
             j = where.pop(label, None)
             if j is None:
-                my_keep.append(i)
+                keep.append(i)
                 continue
             if self.dims[i] != other.dims[j]:
                 raise ValueError(f"leg {label!r} dimension mismatch: "
                                  f"{self.dims[i]} vs {other.dims[j]}")
-            my_pair.append(i)
-            ot_pair.append(j)
-        my_part, ot_part = _run_getter(my_keep), _run_getter(list(where.values()))
+            pairs.append((i, j))
+        my_part, ot_part = projection(keep), projection(list(where.values()))
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
         limit = _network_cap.get() or entry_cap()
@@ -203,13 +193,13 @@ class GradedTensor:
         mine = self._index is not None and (other._index is None or len(self.data) > len(other.data))
         if mine:
             indexed, ix_part, scanned, scan_part = self, my_part, other, ot_part
-            pairs = sorted(zip(my_pair, ot_pair))
         else:
             indexed, ix_part, scanned, scan_part = other, ot_part, self, my_part
-            pairs = sorted(zip(ot_pair, my_pair))
-        # The index keys on the indexed side's positions in increasing order,
-        # so one index serves every order of those legs; the scan reads its
-        # partners in the same order.  A bucket key is a value, a tuple or ().
+            pairs = sorted([(j, i) for i, j in pairs])
+        # Each pair now reads (indexed position, scanned position), in
+        # increasing indexed position, so one index serves every order of
+        # those legs; the scan reads its partners in the same order.  A
+        # bucket key is a value, a tuple or ().
         ix_pos = tuple(i for i, _ in pairs)
         scan_bucket = itemgetter(*(j for _, j in pairs)) if pairs else itemgetter(slice(0, 0))
         cache = indexed._index
@@ -231,7 +221,7 @@ class GradedTensor:
             products += len(hits)
             if products > limit:
                 open_legs = ", ".join(f"{label!r} (dim {dim})" for label, dim in zip(labels, dims))
-                summed = ", ".join(repr(self.labels[i]) for i in my_pair)
+                summed = ", ".join(repr(x) for x in self.labels if x not in labels)
                 raise EntryCapExceeded(
                     f"contraction would compute at least {products} products (cap {limit}); "
                     f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"

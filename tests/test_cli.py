@@ -507,6 +507,19 @@ def test_colors_given_as_non_ascii_digits_are_unknown(tmp_path, z2, capsys):
     assert capsys.readouterr().err == "error: unknown group element '\u0661'\n"
 
 
+def test_an_empty_color_list_keeps_its_group(tmp_path, z2, capsys):
+    # An empty list is a color vector too: it resolves against the group
+    # and fails on its length, as a list one too long does.
+    data = dump_diagram(lens_diagram(2).with_colors(z2, (1,)))
+    path = tmp_path / "colored.json"
+    for colors in ([], ["1", "0"]):
+        path.write_text(json.dumps(dict(data, colors=colors)))
+        assert main(["invariant", "--algebra", "kp", "--diagram", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "validate_diagram: FAIL\n  violation: color vector length differs from genus\n", ""
+        )
+
+
 def test_element_index_out_of_range_is_an_input_error(tmp_path, z2, rp3_file, capsys):
     message = "group element index 2 out of range"
     hom = {"source": "z4", "target": "z2", "image": [0, 1, 0, 2]}

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hopfk.fuzz import random_diagram, random_move_walk
-from hopfk.groups import Word, cyclic_group, symmetric_group
+from hopfk.groups import GroupHom, Word, cyclic_group, symmetric_group
 from hopfk import heegaard
 from hopfk.heegaard import (
     _SLOTS_NEG,
@@ -23,6 +23,10 @@ from hopfk.heegaard import (
     mirror_diagram,
     validate_diagram,
 )
+from hopfk.homcount import LiftCountQuery, count_lifts
+from hopfk.hopf import build_function_hopf
+from hopfk.invariant import contract_invariant
+from hopfk.scalars import Scalar
 
 
 def free_reduce(w):
@@ -160,6 +164,29 @@ def test_mirror(z2):
     assert mirror_diagram(M) == D
     assert M.genus == D.genus and len(M.crossings) == len(D.crossings)
     assert validate_diagram(M).passed
+
+
+def test_mirror_inverts_every_color(s3):
+    # Flipping every sign inverts every letter of every relator, so under a
+    # non-abelian group a mirror that kept its colors could break the color
+    # condition; inverting each color keeps it, and keeps K of F(id-S3).
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    H = build_function_hopf(idhom)
+    rng = random.Random(1)
+    mirrored = 0
+    for _ in range(60):
+        D = random_diagram(rng, 3, 10)
+        for colors in enumerate_colorings(D, s3):
+            E = D.with_colors(s3, colors)
+            M = mirror_diagram(E)
+            assert validate_diagram(M).passed, (E, validate_diagram(M).violations)
+            assert M.colors == tuple(s3.inverse[a] for a in colors)
+            assert mirror_diagram(M) == E
+            K = contract_invariant(H, E)[1]
+            assert contract_invariant(H, M)[1] == K
+            assert Scalar(count_lifts(LiftCountQuery(extract_words(M), M.colors, idhom))) == K
+            mirrored += 1
+    assert mirrored > 300
 
 
 # -- moves -------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hopfk.tensors import (
     GradedTensor,
     contract_network,
     entry_cap,
+    projection,
 )
 
 
@@ -193,6 +194,35 @@ def test_contract_matches_dense_reference(permute, operands):
         swapped = b.contract(a)
         assert not any(v.is_zero() for v in swapped.data.values())
         assert permute(swapped, [swapped.labels.index(x) for x in got.labels]) == got
+
+
+@st.composite
+def key_and_indices(draw):
+    # a key of 0-8 values and an index list into it: empty, one index, a
+    # contiguous run, a permutation of some positions, or with a repeat
+    key = tuple(draw(st.lists(st.integers(-2, 9), max_size=8)))
+    n = len(key)
+    kinds = ["empty", "single", "contiguous", "permuted", "repeated"] if n else ["empty"]
+    kind = draw(st.sampled_from(kinds))
+    position = st.integers(0, n - 1)
+    if kind == "empty":
+        return key, []
+    if kind == "single":
+        return key, [draw(position)]
+    if kind == "contiguous":
+        start = draw(position)
+        return key, list(range(start, draw(st.integers(start, n))))
+    if kind == "permuted":
+        return key, draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    indices = draw(st.lists(position, min_size=1, max_size=8))
+    return key, indices + [draw(st.sampled_from(indices))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key_and_indices())
+def test_projection_reads_a_tuple_in_index_order(case):
+    key, indices = case
+    assert projection(indices)(key) == tuple(key[i] for i in indices)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -627,6 +657,7 @@ def test_relabel_views_share_one_index_per_leg_pattern():
     assert column._index is None
     views[0].contract(column)
     buckets = m._index[(1,)]
+    assert set(buckets) == {0, 1}  # one joined leg: a bucket key is the value itself
     assert views[1].contract(column.relabel("y")) == vec("x", [-1, -1, -1])
     assert views[2].contract(column.relabel("x")) == vec("y", [-1, -1, -1])
     assert list(m._index) == [(1,)] and m._index[(1,)] is buckets
