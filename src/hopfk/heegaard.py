@@ -62,10 +62,7 @@ def extract_words(D: Diagram):
     """One word per lower circle: letter x_k^sign per crossing with upper
     circle k, read along the stored traversal order."""
     cmap = D.crossing_map()
-    words = []
-    for order in D.lower_orders:
-        words.append(Word(tuple((cmap[i].upper, cmap[i].sign) for i in order)))
-    return words
+    return [Word(tuple([(cmap[i].upper, cmap[i].sign) for i in order])) for order in D.lower_orders]
 
 
 # Counterclockwise slot order of the four arc-ends at a crossing; derived

@@ -1,69 +1,50 @@
 """The scalar diagram invariant: circle tensors and their contraction.
 
-Each upper circle contributes the trace form composed with the iterated
-product of its component algebra; each lower circle contributes the
-iterated coproduct of the cotrace.  ``hopf.product_chain`` and
-``hopf.coproduct_chain`` build those chains, so a circle without
-crossings gets the unit or the counit like any empty chain.  Crossings
-pair the corresponding legs; a negative crossing's leg passes through its
-own antipode node.  The nodes are the stored structure tensors and the
-algebra's trace and cotrace (see ``hopf.derive_integral_data``), only
-relabelled, by position, so no stored leg name is used here; and
+``diagram_nodes`` builds the network in one pass over the circles.  Each
+upper circle k gives the iterated product of H_a, a its color, over its
+crossing legs, closed by the trace T_a.  Each lower circle gives the
+cotrace, split by the iterated coproduct over its relator word from
+``extract_words``: the letter x_k^e of a crossing grades its leg a, or
+a^-1 when e = -1, in which case the leg reaches the crossing through its
+own antipode node.  ``hopf.product_chain`` and ``hopf.coproduct_chain``
+build the chains, so a circle without crossings gets the unit or the
+counit like any empty chain.  The nodes are the stored structure tensors
+and the algebra's trace and cotrace (see ``hopf.derive_integral_data``),
+only relabelled, by position, so no stored leg name is used here; and
 ``contract_network`` contracts them a pair at a time, so memory stays
 proportional to the largest open frontier, not the full circle tensors.
 """
 
 from __future__ import annotations
 
-from .heegaard import Diagram, validate_diagram
+from .heegaard import Diagram, extract_words, validate_diagram
 from .hopf import HopfPiCoalgebra, coproduct_chain, derive_integral_data, product_chain
 from .scalars import Scalar
 from .tensors import contract_network
 
 
-def _upper_nodes(H, integral, D, k):
-    """Node chain for upper circle k: the ``product_chain`` of its crossing
-    legs in traversal order (the unit if there are none), then the trace."""
-    a = D.colors[k]
-    chain, out = product_chain(H, a, [("x", c) for c in D.upper_orders[k]], ("u", k))
-    return chain + [integral.trace[a].relabel([out])]
-
-
-def _lower_nodes(H, integral, D, cmap, i):
-    """Node chain for lower circle i: the cotrace, then the
-    ``coproduct_chain`` that splits it over the crossing legs (the counit
-    if there are none).  The leg of a negative crossing c is named
-    ("s", c) and reaches ("x", c) through its own antipode node."""
-    pi = H.pi
-    crossings = [cmap[cid] for cid in D.lower_orders[i]]
-    gradings = [
-        D.colors[c.upper] if c.sign == 1 else pi.inverse[D.colors[c.upper]]
-        for c in crossings
-    ]
-    legs = [("x", c.id) if c.sign == 1 else ("s", c.id) for c in crossings]
-    chain, root = coproduct_chain(H, gradings, legs, ("d", i))
-    # S maps the component graded a^-1 into the one graded a.
-    return [integral.cotrace.relabel([root])] + chain + [
-        H.antipode[g].relabel((("s", c.id), ("x", c.id)))
-        for c, g in zip(crossings, gradings)
-        if c.sign == -1
-    ]
-
-
 def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
-    """The nodes of D's network: the chain of each upper circle, then that
-    of each lower circle.  D must be colored and pass ``validate_diagram``,
-    whose color condition makes each lower circle's gradings multiply to
-    the identity.  The trace and cotrace nodes relabel the algebra's
-    ``derive_integral_data``, derived on the first diagram and shared by
-    every later one."""
-    integral = derive_integral_data(H)
-    cmap = D.crossing_map()
+    """The nodes of D's network: per upper circle its ``product_chain``,
+    then the trace; per lower circle the cotrace, its ``coproduct_chain``,
+    then one antipode node per negative letter.  D must be colored and
+    pass ``validate_diagram``, whose color condition makes each lower
+    circle's gradings multiply to the identity.  The trace and cotrace
+    nodes relabel the algebra's ``derive_integral_data``, derived on the
+    first diagram and shared by every later one."""
+    integral, inverse, colors = derive_integral_data(H), H.pi.inverse, D.colors
     nodes = []
-    for k in range(D.genus):
-        nodes.extend(_upper_nodes(H, integral, D, k))
-    for i in range(D.genus):
-        nodes.extend(_lower_nodes(H, integral, D, cmap, i))
+    for k, order in enumerate(D.upper_orders):
+        chain, out = product_chain(H, colors[k], [("x", c) for c in order], ("u", k))
+        nodes += chain + [integral.trace[colors[k]].relabel([out])]
+    for i, (order, word) in enumerate(zip(D.lower_orders, extract_words(D))):
+        gradings = [colors[k] if e == 1 else inverse[colors[k]] for k, e in word.letters]
+        legs = [("x" if e == 1 else "s", c) for c, (_, e) in zip(order, word.letters)]
+        chain, root = coproduct_chain(H, gradings, legs, ("d", i))
+        # S maps the component graded a^-1 into the one graded a.
+        nodes += [integral.cotrace.relabel([root])] + chain + [
+            H.antipode[g].relabel((("s", c), ("x", c)))
+            for c, g, (_, e) in zip(order, gradings, word.letters) if e == -1
+        ]
     return nodes
 
 

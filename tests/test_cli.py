@@ -90,6 +90,9 @@ def test_builtin_names():
     assert builtin_hom("trivial-z5").target.order == 1
     assert builtin_algebra("kp").dim == (4, 4)
     assert builtin_algebra("fun-sign-s3").dim == (3, 3)
+    # the JSON parsers take a builtin name in place of an object
+    assert parse_hom("mod2-z4") == builtin_hom("mod2-z4")
+    assert parse_algebra("kp").dim == (4, 4)
     for bad in ("z", "q8", "mod3-z4", "fun-nope"):
         with pytest.raises(DataFormatError):
             builtin_group(bad) if bad[0] in "zq" else builtin_hom(bad)

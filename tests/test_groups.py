@@ -21,6 +21,8 @@ def test_cyclic():
     assert z2.mul[1][1] == 0
     assert z2.inverse == (0, 1)
     assert z2.is_abelian()
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        cyclic_group(0)
 
 
 def test_symmetric_3():
@@ -30,6 +32,8 @@ def test_symmetric_3():
     assert len(involutions) == 3
     assert not s3.is_abelian()
     assert "e" in s3.names and "(1 2)" in s3.names
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        symmetric_group(0)
 
 
 def test_broken_tables_rejected():

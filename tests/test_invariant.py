@@ -26,6 +26,7 @@ from hopfk.heegaard import (
     extract_words,
     lens_diagram,
     mirror_diagram,
+    validate_diagram,
 )
 from hopfk.homcount import LiftCountQuery, count_lifts
 from hopfk.hopf import (
@@ -285,6 +286,43 @@ def test_diagram_nodes_build_one_crossing_map(kp, z2, monkeypatch):
     monkeypatch.setattr(Diagram, "crossing_map", lambda self: calls.append(1) or crossing_map(self))
     diagram_nodes(kp, D)
     assert len(calls) == 1
+
+
+def test_diagram_nodes_come_in_a_fixed_order(s3):
+    # The plan cache and every contraction count read the node list, so its
+    # order is pinned: per upper circle the product chain then the trace,
+    # per lower circle the cotrace, the coproduct chain, then one antipode
+    # per negative letter.  Over S3 a negative letter's grading a^-1 is not
+    # a, and the third summand has circles without crossings.
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    H = build_function_hopf(idhom)
+    empty = Diagram(1, (), ((),), ((),))
+    D = connected_sum(connected_sum(lens_diagram(2), mirror_diagram(lens_diagram(3))), empty)
+    a, b, e = (s3.names.index(name) for name in ("(1 2)", "(1 2 3)", "e"))
+    c = s3.inverse[b]
+    E = D.with_colors(s3, (a, b, e))
+    report = validate_diagram(E)
+    assert report.passed and report.warnings
+    integral = hopf.derive_integral_data(H)
+    T, C = integral.trace, integral.cotrace
+    x, s = (lambda k: ("x", k)), (lambda k: ("s", k))
+    expected = [
+        (H.mul[a], (x(0), x(1), ("u", 0, 1))), (T[a], (("u", 0, 1),)),
+        (H.mul[b], (x(2), x(3), ("u", 1, 1))), (H.mul[b], (("u", 1, 1), x(4), ("u", 1, 2))),
+        (T[b], (("u", 1, 2),)),
+        (H.unit[e], (("u", 2, 0),)), (T[e], (("u", 2, 0),)),
+        (C, (("d", 0, 0),)), (H.delta[(a, a)], (("d", 0, 0), x(0), x(1))),
+        (C, (("d", 1, 0),)), (H.delta[(c, b)], (("d", 1, 0), s(2), ("d", 1, 1))),
+        (H.delta[(c, c)], (("d", 1, 1), s(3), s(4))),
+        (H.antipode[c], (s(2), x(2))), (H.antipode[c], (s(3), x(3))), (H.antipode[c], (s(4), x(4))),
+        (C, (("d", 2, 0),)), (H.counit, (("d", 2, 0),)),
+    ]
+    nodes = diagram_nodes(H, E)
+    assert len(nodes) == 17
+    assert [n.labels for n in nodes] == [labels for _, labels in expected]
+    assert all(n.data is stored.data for n, (stored, _) in zip(nodes, expected))
+    assert contract_invariant(H, E)[1] == Scalar(1)
+    assert count_lifts(LiftCountQuery(extract_words(E), E.colors, idhom)) == 1
 
 
 def test_invariant_names_no_stored_leg():

@@ -50,6 +50,9 @@ def test_imaginary_unit():
     assert I * I == Scalar(-1)
     assert I.conjugate() == -I
     assert (Scalar(1, 2) * Scalar(1, -2)) == Scalar(5)
+    # an int on either side of - and / is coerced
+    assert Scalar(3, 1) - 1 == Scalar(2, 1) and 1 - Scalar(3, 1) == Scalar(-2, -1)
+    assert 1 / Scalar(0, 2) == Scalar(0, Fraction(-1, 2))
 
 
 def test_parse_examples():
@@ -81,7 +84,7 @@ def test_format_canonical():
     assert format_scalar(ZERO) == "0"
     assert format_scalar(Scalar(Fraction(2, 4))) == "1/2"
     assert format_scalar(Scalar(0, -1)) == "-i"
-    assert format_scalar(Scalar(1, Fraction(-1, 3))) == "1-1/3i"
+    assert format_scalar(Scalar(1, Fraction(-1, 3))) == str(Scalar(1, Fraction(-1, 3))) == "1-1/3i"
 
 
 def test_division_by_zero():

@@ -51,6 +51,7 @@ def test_zero_entries_not_stored():
     t = vec("a", [1, 0, 2])
     assert len(t.data) == 2
     assert t.entry((1,)) == ZERO
+    assert repr(t) == "GradedTensor(legs=('a',), nnz=2)"
 
 
 def test_scalar_tensor():
@@ -91,6 +92,9 @@ def test_contract_matrix_vector():
     out = m.contract(v)
     assert out.labels == ("r",)
     assert out.entry((0,)) == Scalar(3) and out.entry((1,)) == Scalar(7)
+    assert m.axis("c") == 1
+    with pytest.raises(KeyError, match="no leg labeled 'x'"):
+        m.axis("x")
 
 
 def test_contract_dimension_mismatch():
@@ -351,7 +355,10 @@ def test_entry_cap_must_be_positive(monkeypatch):
     assert entry_cap() == DEFAULT_ENTRY_CAP
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "1")
     assert entry_cap() == 1
-    for bad in ("abc", "0", "-5", "2.5", "+5", "1_000", " 7 ", "\u0663"):
+    # Python converts at most 4,300 digits to an int
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "9" * 4000)
+    assert entry_cap() == 10 ** 4000 - 1
+    for bad in ("abc", "0", "-5", "2.5", "+5", "1_000", " 7 ", "\u0663", "9" * 5000):
         monkeypatch.setenv("HOPFK_ENTRY_CAP", bad)
         message = f"HOPFK_ENTRY_CAP must be a positive integer, got '{bad}'"
         with pytest.raises(ValueError) as exc:
@@ -443,6 +450,29 @@ def test_no_unused_imports():
             if (alias.asname or alias.name.split(".")[0]) not in used
         ]
     assert not unused
+
+
+def test_no_unread_private_helpers():
+    # every module-level private name of the package (a ``_name`` def,
+    # class or assignment) is read, or imported, somewhere in the package
+    package = pathlib.Path(hopfk.__file__).parent
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert len(defined) > 40
+    assert [f"{name}:{line} {helper}" for name, line, helper in defined if helper not in read] == []
 
 
 def test_no_rng_parameter_outside_fuzz():
