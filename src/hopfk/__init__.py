@@ -10,13 +10,13 @@ from .scalars import Scalar, parse_scalar, format_scalar
 from .groups import (
     GroupTable,
     GroupHom,
-    Word,
     Report,
     cyclic_group,
     symmetric_group,
     trivial_group,
     group_from_table,
     evaluate_word,
+    format_word,
     validate_hom,
     sign_hom_s3,
     mod_hom,

@@ -138,29 +138,13 @@ def symmetric_group(n: int) -> GroupTable:
 # -- words ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in abstract generators x_1..x_g; letters are pairs
-    (generator index, exponent in {+1, -1})."""
-
-    letters: tuple = ()
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        if not self.letters:
-            return "1"
-        parts = []
-        for k, e in self.letters:
-            parts.append(f"x{k + 1}" if e == 1 else f"x{k + 1}^-1")
-        return ".".join(parts)
+def format_word(word) -> str:
+    """A word of letters (generator index, exponent in {+1, -1}) as text:
+    ``x1.x2^-1``, and ``1`` for the empty word."""
+    return ".".join(f"x{k + 1}" if e == 1 else f"x{k + 1}^-1" for k, e in word) or "1"
 
 
-def evaluate_word(word: Word, assignment, group: GroupTable) -> int:
+def evaluate_word(word: tuple, assignment, group: GroupTable) -> int:
     """Product of the assigned elements with exponents, left to right."""
     result = group.identity
     for k, e in word:
@@ -197,9 +181,6 @@ class GroupHom:
     source: GroupTable
     target: GroupTable
     image: tuple  # image[g] -> index in target
-
-    def __call__(self, g: int) -> int:
-        return self.image[g]
 
     def fiber(self, a: int):
         """Sorted source indices mapping to target element a."""

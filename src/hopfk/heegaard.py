@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .groups import GroupTable, Report, Word, evaluate_word, word_solutions
+from .groups import GroupTable, Report, evaluate_word, format_word, word_solutions
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,10 @@ class Diagram:
 
 
 def extract_words(D: Diagram):
-    """One word per lower circle: letter x_k^sign per crossing with upper
-    circle k, read along the stored traversal order."""
+    """One word per lower circle: a tuple of letters (k, sign), x_k^sign,
+    one per crossing with upper circle k, in the stored traversal order."""
     cmap = D.crossing_map()
-    return [Word(tuple([(cmap[i].upper, cmap[i].sign) for i in order])) for order in D.lower_orders]
+    return [tuple([(cmap[i].upper, cmap[i].sign) for i in order]) for order in D.lower_orders]
 
 
 # Counterclockwise slot order of the four arc-ends at a crossing; derived
@@ -215,7 +215,7 @@ def validate_diagram(D: Diagram) -> Report:
             if value != D.pi.identity:
                 report.fail(
                     f"color condition fails on lower circle {i}: "
-                    f"word {w} evaluates to {D.pi.names[value]!r}"
+                    f"word {format_word(w)} evaluates to {D.pi.names[value]!r}"
                 )
 
     demanded, _ = euler_certificate(D)

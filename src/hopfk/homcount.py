@@ -28,7 +28,7 @@ class LiftCountQuery:
 def count_lifts(q: LiftCountQuery) -> int:
     """#{(g_1..g_n) with phi(g_k) = colors[k] and every relator = 1 in G}."""
     for w in q.words:
-        for k, _ in w.letters:
+        for k, _ in w:
             if k >= len(q.colors):
                 raise ValueError(
                     f"word references generator {k + 1} but only "

@@ -37,13 +37,13 @@ def diagram_nodes(H: HopfPiCoalgebra, D: Diagram):
         chain, out = product_chain(H, colors[k], [("x", c) for c in order], ("u", k))
         nodes += chain + [integral.trace[colors[k]].relabel([out])]
     for i, (order, word) in enumerate(zip(D.lower_orders, extract_words(D))):
-        gradings = [colors[k] if e == 1 else inverse[colors[k]] for k, e in word.letters]
-        legs = [("x" if e == 1 else "s", c) for c, (_, e) in zip(order, word.letters)]
+        gradings = [colors[k] if e == 1 else inverse[colors[k]] for k, e in word]
+        legs = [("x" if e == 1 else "s", c) for c, (_, e) in zip(order, word)]
         chain, root = coproduct_chain(H, gradings, legs, ("d", i))
         # S maps the component graded a^-1 into the one graded a.
         nodes += [integral.cotrace.relabel([root])] + chain + [
             H.antipode[g].relabel((("s", c), ("x", c)))
-            for c, g, (_, e) in zip(order, gradings, word.letters) if e == -1
+            for c, g, (_, e) in zip(order, gradings, word) if e == -1
         ]
     return nodes
 

@@ -13,6 +13,7 @@ import functools
 import heapq
 import math
 import os
+import sys
 from collections.abc import Mapping
 from contextvars import ContextVar
 from operator import itemgetter
@@ -33,14 +34,18 @@ def entry_cap() -> int:
     """The cap from ``HOPFK_ENTRY_CAP``: unset or empty means the default,
     anything but a positive integer in ASCII digits is a ``ValueError``; a
     sign, an underscore, a space or another script's digits are refused,
-    though ``int`` would read them."""
+    though ``int`` would read them, and so are more digits than ``int``
+    converts (``sys.get_int_max_str_digits()``)."""
     value = os.environ.get(ENTRY_CAP_ENV)
     if not value:
         return DEFAULT_ENTRY_CAP
     try:
         cap = int(value) if value.isdigit() and value.isascii() else 0
     except ValueError:  # more digits than int() converts
-        cap = 0
+        raise ValueError(
+            f"{ENTRY_CAP_ENV} has {len(value)} digits, more than the "
+            f"{sys.get_int_max_str_digits()} Python converts to an integer"
+        ) from None
     if cap < 1:
         raise ValueError(f"{ENTRY_CAP_ENV} must be a positive integer, got {value!r}")
     return cap

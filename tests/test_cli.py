@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -397,6 +400,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["validate-algebra", str(garbled)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["validate-algebra", "kp"], {}, 0),
+    (["validate-algebra", "nope.json"], {}, 2),
+    (["lens-table", "--algebra", "kp", "--max-n", "1"], {"HOPFK_ENTRY_CAP": "abc"}, 1),
+])
+def test_the_process_exits_with_mains_code(tmp_path, argv, env, code):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "hopfk.cli", *argv], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    assert run.returncode == code, run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("content", [

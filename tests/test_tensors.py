@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -355,10 +356,21 @@ def test_entry_cap_must_be_positive(monkeypatch):
     assert entry_cap() == DEFAULT_ENTRY_CAP
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "1")
     assert entry_cap() == 1
-    # Python converts at most 4,300 digits to an int
+    # Python converts at most 4,300 digits to an int (by default); a longer
+    # value is refused by its length, not quoted
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "9" * 4000)
     assert entry_cap() == 10 ** 4000 - 1
-    for bad in ("abc", "0", "-5", "2.5", "+5", "1_000", " 7 ", "\u0663", "9" * 5000):
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "9" * limit)
+    assert entry_cap() == 10 ** limit - 1
+    for digits in (limit + 1, 5000):
+        monkeypatch.setenv("HOPFK_ENTRY_CAP", "9" * digits)
+        message = (f"HOPFK_ENTRY_CAP has {digits} digits, more than the {limit} "
+                   "Python converts to an integer")
+        with pytest.raises(ValueError) as exc:
+            entry_cap()
+        assert str(exc.value) == message
+    for bad in ("abc", "0", "-5", "2.5", "+5", "1_000", " 7 ", "\u0663"):
         monkeypatch.setenv("HOPFK_ENTRY_CAP", bad)
         message = f"HOPFK_ENTRY_CAP must be a positive integer, got '{bad}'"
         with pytest.raises(ValueError) as exc:
