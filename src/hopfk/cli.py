@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lens-table", cmd_lens_table, help="K for the genus-1 x^p family")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-n", type=positive_int, required=True)
+    p.add_argument("--max-n", type=positive_int, required=True,
+                   help="K for p = 1..2*MAX_N: every coloring of the genus-1 diagram with relator x^p")
 
     p = add("oracle-compare", cmd_oracle_compare, help="contraction vs lift count")
     p.add_argument("--phi", required=True, help="builtin name or hom JSON file")
@@ -212,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("move-fuzz", cmd_move_fuzz, help="random moves, assert K constant")
     p.add_argument("--algebra", required=True)
     p.add_argument("--diagram", required=True)
-    p.add_argument("--steps", type=positive_int, default=10)
+    p.add_argument("--steps", type=positive_int, default=10,
+                   help="number of random moves applied, K checked after each (default 10)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

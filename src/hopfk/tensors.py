@@ -61,6 +61,52 @@ def projection(indices):
     return itemgetter(slice(start, start + len(indices)))
 
 
+def _bucket(positions):
+    """The bucket getter on ``positions``: the value itself for one, a
+    tuple for two or more, and () for none."""
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
+# Bounded above the 61 patterns a seed-1 pass of bench/run.py's walk meets.
+@functools.lru_cache(maxsize=256)
+def _join_pattern(my_keep, ot_keep, pairs):
+    """The getters of a join whose kept positions are ``my_keep`` in
+    ``self`` and ``ot_keep`` in ``other`` and whose shared legs are the
+    ``(self position, other position)`` pairs ``pairs``, in ``self``'s
+    order: ``(my_part, ot_part, my_index, ot_index)``.  ``my_index`` is
+    ``(ix_pos, ix_bucket, scan_bucket)`` for ``self`` indexed, and
+    ``ot_index`` the same for ``other`` indexed.  Each side's pairs read
+    (indexed position, scanned position) in increasing indexed position,
+    so one index serves every order of those legs, and the scan reads its
+    partners in the same order."""
+    index = []
+    for side_pairs in (pairs, sorted([(j, i) for i, j in pairs])):
+        ix_pos = tuple(i for i, _ in side_pairs)
+        index.append((ix_pos, _bucket(ix_pos), _bucket([j for _, j in side_pairs])))
+    return projection(my_keep), projection(ot_keep), index[0], index[1]
+
+
+# Bounded above the 1,555 shapes a seed-1 pass of bench/run.py's walk meets.
+@functools.lru_cache(maxsize=2048)
+def _join_setup(my_labels, my_dims, ot_labels, ot_dims):
+    """``_join_pattern``'s getters for ``self`` on ``my_labels`` and
+    ``my_dims`` contracted with ``other`` on ``ot_labels`` and ``ot_dims``;
+    a shared leg of two dims is a ``ValueError``."""
+    # The positions left in ``where`` are other's kept legs, in order.
+    where = dict(zip(ot_labels, range(len(ot_labels))))
+    keep, pairs = [], []
+    for i, label in enumerate(my_labels):
+        j = where.pop(label, None)
+        if j is None:
+            keep.append(i)
+            continue
+        if my_dims[i] != ot_dims[j]:
+            raise ValueError(f"leg {label!r} dimension mismatch: "
+                             f"{my_dims[i]} vs {ot_dims[j]}")
+        pairs.append((i, j))
+    return _join_pattern(tuple(keep), tuple(where.values()), tuple(pairs))
+
+
 class GradedTensor:
     """Dense-by-contract, sparse-by-storage multi-index array over Q(i).
 
@@ -166,30 +212,25 @@ class GradedTensor:
         once, so if neither side is stored, ``other`` is indexed for this
         call only.  A kept index never skips the count.
 
-        The set-up walks the legs of ``self`` once against a dict of
-        ``other``'s positions: it lists ``self``'s kept positions and one
-        ``(self position, other position)`` pair per shared leg, checking
-        their dimensions.  The pairs are in ``self``'s order, which the
-        index keys on when ``self`` is indexed; they are flipped and sorted
-        when ``other`` is.  Kept parts are read by ``projection``; the
-        bucket getters are bare ``itemgetter``s, so one shared leg gives a
-        scalar bucket key.  The result skips the constructor's
+        The set-up, ``_join_setup``, is a pure function of the operands'
+        labels and dims, memoized by them in a bounded ``lru_cache`` of
+        2,048 shapes.  On a miss it walks the legs of ``self`` once against
+        a dict of ``other``'s positions: it lists ``self``'s kept positions
+        and one ``(self position, other position)`` pair per shared leg,
+        checking their dimensions (a mismatch raises, so it is never
+        memoized).  Its getters come from a second memo, of 256 patterns,
+        keyed by those positions (``_join_pattern``): the kept-part getters,
+        built by ``projection``, and for each choice of indexed side the
+        index's positions, its bucket getter and the scan's, bare
+        ``itemgetter``s, so one shared leg gives a scalar bucket key.  Both
+        memos hold only tuples of labels, dims and positions, and getters:
+        never a tensor or an entry.  The result's labels and dims are read
+        from this call's operands, so labels equal across types (``1``,
+        ``True``) keep their own.  The result skips the constructor's
         repeated-label check: its legs are those of ``self`` that ``other``
         lacks, then the rest of ``other``'s, so no label repeats.
         """
-        # The positions left in ``where`` are other's kept legs, in order.
-        where = dict(zip(other.labels, range(len(other.labels))))
-        keep, pairs = [], []
-        for i, label in enumerate(self.labels):
-            j = where.pop(label, None)
-            if j is None:
-                keep.append(i)
-                continue
-            if self.dims[i] != other.dims[j]:
-                raise ValueError(f"leg {label!r} dimension mismatch: "
-                                 f"{self.dims[i]} vs {other.dims[j]}")
-            pairs.append((i, j))
-        my_part, ot_part = projection(keep), projection(list(where.values()))
+        my_part, ot_part, my_index, ot_index = _join_setup(self.labels, self.dims, other.labels, other.dims)
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
         limit = _network_cap.get() or entry_cap()
@@ -198,19 +239,13 @@ class GradedTensor:
         mine = self._index is not None and (other._index is None or len(self.data) > len(other.data))
         if mine:
             indexed, ix_part, scanned, scan_part = self, my_part, other, ot_part
+            ix_pos, ix_bucket, scan_bucket = my_index
         else:
             indexed, ix_part, scanned, scan_part = other, ot_part, self, my_part
-            pairs = sorted([(j, i) for i, j in pairs])
-        # Each pair now reads (indexed position, scanned position), in
-        # increasing indexed position, so one index serves every order of
-        # those legs; the scan reads its partners in the same order.  A
-        # bucket key is a value, a tuple or ().
-        ix_pos = tuple(i for i, _ in pairs)
-        scan_bucket = itemgetter(*(j for _, j in pairs)) if pairs else itemgetter(slice(0, 0))
+            ix_pos, ix_bucket, scan_bucket = ot_index
         cache = indexed._index
         buckets = None if cache is None else cache.get(ix_pos)
         if buckets is None:
-            ix_bucket = itemgetter(*ix_pos) if ix_pos else itemgetter(slice(0, 0))
             buckets = {}
             for key, value in indexed.data.items():
                 buckets.setdefault(ix_bucket(key), []).append((ix_part(key), value))

@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -13,11 +14,12 @@ from hopfk import (
     mod_hom,
     sign_hom_s3,
     symmetric_group,
+    tensors,
     trivial_hom,
 )
 from hopfk.hopf import coproduct_chain, product_chain
-from hopfk.scalars import ONE, Scalar
-from hopfk.tensors import GradedTensor, contract_network
+from hopfk.scalars import ONE, ZERO, Scalar
+from hopfk.tensors import EntryCapExceeded, GradedTensor, contract_network, projection
 
 
 @pytest.fixture(scope="session")
@@ -152,6 +154,66 @@ def _reference_plan(shapes):
 @pytest.fixture(scope="session")
 def reference_plan():
     return _reference_plan
+
+
+# -- a reference join for GradedTensor.contract ---------------------------------------
+
+
+def _reference_contract(a, b):
+    """``a.contract(b)`` as it was before its set-up was memoized: the
+    set-up is rebuilt from the operands' labels and dims on every call.  It
+    indexes the side ``contract`` indexes, but builds that index afresh and
+    neither reads nor keeps a stored one; the result is a stored tensor."""
+    where = dict(zip(b.labels, range(len(b.labels))))
+    keep, pairs = [], []
+    for i, label in enumerate(a.labels):
+        j = where.pop(label, None)
+        if j is None:
+            keep.append(i)
+            continue
+        if a.dims[i] != b.dims[j]:
+            raise ValueError(f"leg {label!r} dimension mismatch: {a.dims[i]} vs {b.dims[j]}")
+        pairs.append((i, j))
+    my_part, ot_part = projection(keep), projection(list(where.values()))
+    labels = my_part(a.labels) + ot_part(b.labels)
+    dims = my_part(a.dims) + ot_part(b.dims)
+    limit = tensors._network_cap.get() or tensors.entry_cap()
+    mine = a._index is not None and (b._index is None or len(a.data) > len(b.data))
+    if mine:
+        indexed, ix_part, scanned, scan_part = a, my_part, b, ot_part
+    else:
+        indexed, ix_part, scanned, scan_part = b, ot_part, a, my_part
+        pairs = sorted([(j, i) for i, j in pairs])
+    ix_bucket = itemgetter(*(i for i, _ in pairs)) if pairs else itemgetter(slice(0, 0))
+    scan_bucket = itemgetter(*(j for _, j in pairs)) if pairs else itemgetter(slice(0, 0))
+    buckets = {}
+    for key, value in indexed.data.items():
+        buckets.setdefault(ix_bucket(key), []).append((ix_part(key), value))
+    acc = {}
+    products = 0
+    for key, value in scanned.data.items():
+        hits = buckets.get(scan_bucket(key), [])
+        products += len(hits)
+        if products > limit:
+            open_legs = ", ".join(f"{label!r} (dim {dim})" for label, dim in zip(labels, dims))
+            summed = ", ".join(repr(x) for x in a.labels if x not in labels)
+            raise EntryCapExceeded(
+                f"contraction would compute at least {products} products (cap {limit}); "
+                f"open legs {open_legs or 'none'}; contracted over {summed or 'nothing'}"
+            )
+        for rest, ix_value in hits:
+            new_key = rest + scan_part(key) if mine else scan_part(key) + rest
+            total = acc.get(new_key, ZERO) + value * ix_value
+            if total.is_zero():
+                acc.pop(new_key, None)
+            else:
+                acc[new_key] = total
+    return GradedTensor.from_stored(labels, dims, acc)
+
+
+@pytest.fixture(scope="session")
+def reference_contract():
+    return _reference_contract
 
 
 @pytest.fixture()

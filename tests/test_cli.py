@@ -594,6 +594,15 @@ def test_count_options_refuse_values_below_one(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: hopfk ") and f"must be at least 1, got {argv[-1]}" in err
+    # the option's help says what it counts
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    help_text = {
+        "--max-n": "--max-n MAX_N K for p = 1..2*MAX_N: every coloring of the genus-1 diagram with relator x^p",
+        "--steps": "--steps STEPS number of random moves applied, K checked after each (default 10)",
+    }[argv[-2]]
+    assert help_text in " ".join(capsys.readouterr().out.split())
 
 
 # -- golden output -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import functools
+import gc
 import itertools
 import math
 import pathlib
@@ -9,7 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hopfk
 from hopfk import tensors
@@ -199,6 +200,152 @@ def test_contract_matches_dense_reference(permute, operands):
         swapped = b.contract(a)
         assert not any(v.is_zero() for v in swapped.data.values())
         assert permute(swapped, [swapped.labels.index(x) for x in got.labels]) == got
+
+
+# -- the memoized join set-up against the reference join ------------------------------
+
+# Leg labels of three types; none is a bool, so no two drawn labels are equal.
+LABELS = st.one_of(
+    st.text("abc", min_size=1, max_size=2),
+    st.tuples(st.sampled_from("uvx"), st.integers(0, 3)),
+    st.integers(-2, 9),
+)
+
+
+@st.composite
+def join_shapes(draw):
+    """Two operands, each ``(labels, dims, form, (entries, more entries))``:
+    0-4 legs of dims 0-4 that share 0-3 legs, each in a drawn order, the
+    form ``stored`` or ``result``, and two sparse sets of entries.  Then a
+    renaming of every label to a label of any type, and an entry cap, or
+    None for ``entry_cap()``."""
+    shared = draw(st.integers(0, 3))
+    mine, theirs = draw(st.integers(0, 4 - shared)), draw(st.integers(0, 4 - shared))
+    n = shared + mine + theirs
+    names = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
+    dims = dict(zip(names, draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))))
+
+    def entries(sizes):
+        if not all(sizes):
+            return {}
+        keys = st.tuples(*(st.integers(0, size - 1) for size in sizes))
+        return draw(st.dictionaries(keys, st.sampled_from(ENTRY_VALUES), max_size=8))
+
+    def operand(own):
+        labels = tuple(draw(st.permutations(names[:shared] + own)))
+        sizes = tuple(dims[label] for label in labels)
+        return labels, sizes, draw(st.sampled_from(["stored", "result"])), (entries(sizes), entries(sizes))
+
+    a = operand(names[shared:shared + mine])
+    b = operand(names[shared + mine:])
+    renamed = draw(st.lists(LABELS, min_size=n, max_size=n, unique=True))
+    return a, b, dict(zip(names, renamed)), draw(st.one_of(st.none(), st.integers(1, 12)))
+
+
+def join_outcome(join, a, b):
+    """The labels and dims of ``join(a, b)`` as their reprs, so that ``1``
+    and ``True`` differ, and its entries; or the type and message of the
+    error it raised."""
+    try:
+        t = join(a, b)
+    except (ValueError, EntryCapExceeded) as exc:
+        return type(exc), str(exc)
+    return repr(t.labels), repr(t.dims), t.data
+
+
+TRUE_IS_ONE = (
+    # a keeps its leg 1, which the renaming makes True: equal labels, so
+    # the renamed pair hits the shape memo, but its result keeps True
+    (((1, "k"), (2, 3), "stored", ({(0, 0): ONE, (1, 2): I}, {(1, 1): -I})),
+     (("k", "z"), (3, 1), "result", ({(2, 0): Scalar(2)}, {(0, 0): ONE})),
+     {1: True, "k": "k", "z": "z"}, None),
+    # the shared leg is 1 in a and True in b: equal labels, so one leg
+    (((1, "k"), (2, 2), "stored", ({(0, 0): ONE, (1, 1): I}, {})),
+     (("z", True), (2, 2), "stored", ({(0, 1): Scalar(3), (1, 1): ONE}, {(1, 0): I})),
+     {1: 1.0, "k": ("k", 0), "z": 7}, 1),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(join_shapes())
+@example(TRUE_IS_ONE[0])
+@example(TRUE_IS_ONE[1])
+def test_contract_matches_the_reference_join_cold_and_warm(reference_contract, case):
+    a_operand, b_operand, rename, cap = case
+    unit = GradedTensor((), (), {(): ONE})
+
+    def build(operand, k):
+        labels, dims, form, entries = operand
+        t = GradedTensor.from_stored(labels, dims, entries[k])
+        return t if form == "stored" else t.contract(unit)
+
+    a, b = build(a_operand, 0), build(b_operand, 0)
+    # the same shapes with other entries: the shape memo hits
+    same_shape = build(a_operand, 1), build(b_operand, 1)
+    # the same positions on other labels: the shape memo misses, the pattern memo hits
+    renamed = [t.relabel([rename[label] for label in t.labels]) for t in (a, b)]
+    pairs = [(a, b), (a, b), same_shape, renamed, (b, a), renamed[::-1]]
+    # one shared leg of another dim in b: refused, whatever the memos hold
+    shared = [label for label in b.labels if label in a.labels]
+    if shared:
+        k = b.labels.index(shared[0])
+        dims = b.dims[:k] + (b.dims[k] + 1,) + b.dims[k + 1:]
+        wrong = build((b.labels, dims, b_operand[2], ({},)), 0)
+        pairs += [(a, wrong), (wrong, a), (renamed[0], wrong.relabel([rename[label] for label in b.labels]))]
+    memos = tensors._join_setup, tensors._join_pattern
+    token = tensors._network_cap.set(cap)
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        for n, (x, y) in enumerate(pairs):
+            assert join_outcome(GradedTensor.contract, x, y) == join_outcome(reference_contract, x, y)
+            if n < 2:  # cold, then warm
+                assert memos[0].cache_info()[:2] == (n, 1)
+                assert memos[1].cache_info()[:2] == (0, 1)
+    finally:
+        tensors._network_cap.reset(token)
+
+
+def test_the_join_memos_miss_once_per_diagram_are_bounded_and_hold_no_tensor(kp):
+    class Entries(dict):  # a dict subclass, so a weakref can watch one
+        pass
+
+    memos = tensors._join_setup, tensors._join_pattern
+    refs = []
+
+    def watched(t):
+        out = GradedTensor.from_stored(t.labels, t.dims, Entries(t.data))
+        refs.extend([weakref.ref(out), weakref.ref(out.data)])
+        return out
+
+    for memo in memos:
+        memo.cache_clear()
+    for p in range(1, 13):
+        D = lens_diagram(p)
+        for n, colors in enumerate(enumerate_colorings(D, kp.pi)):
+            nodes = [watched(t) for t in diagram_nodes(kp, D.with_colors(kp.pi, colors))]
+            misses = [memo.cache_info().misses for memo in memos]
+            result = contract_network(nodes)
+            refs.append(weakref.ref(result))
+            if n:  # a later coloring of the diagram: every shape and pattern is memoized
+                assert [memo.cache_info().misses for memo in memos] == misses
+    # more distinct shapes than the shape memo holds, all of one pattern;
+    # then more patterns than the pattern memo holds: one shared leg at
+    # the front of n legs and of m legs
+    for n in range(memos[0].cache_info().maxsize + 5):
+        result = watched(vec(("x", n), [1, 2])).contract(watched(vec(("x", n), [3, 4])))
+        refs.append(weakref.ref(result))
+    for n, m in itertools.product(range(1, 20), repeat=2):
+        x = watched(GradedTensor(["s"] + [("a", i) for i in range(1, n)], (1,) * n, {(0,) * n: ONE}))
+        y = watched(GradedTensor(["s"] + [("b", i) for i in range(1, m)], (1,) * m, {(0,) * m: I}))
+        result = x.contract(y)
+        refs.append(weakref.ref(result))
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.misses > info.maxsize and info.currsize == info.maxsize
+    del nodes, x, y, result
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 @st.composite
