@@ -214,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--diagram", required=True)
     p.add_argument("--steps", type=positive_int, default=10,
-                   help="number of random moves applied, K checked after each (default 10)")
+                   help="number of random moves applied, K checked after each (default 10); "
+                        "no move grows the diagram past a crossing cap, which is never below "
+                        "the input diagram's crossing count")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

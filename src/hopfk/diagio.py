@@ -240,30 +240,17 @@ def builtin_algebra(name: str) -> HopfPiCoalgebra:
     raise UnknownNameError(f"unknown algebra name {name!r}")
 
 
-# How each structure map's JSON block nests its components: per level of
-# nesting, how many group element names the JSON key joins with "|".  The
-# counit is one component, not a block; delta is keyed "a|b"; the crossing
-# is keyed b, then a.  The elements, in order, make up the component key.
-_NESTING = {
-    "mul": (1,),
-    "unit": (1,),
-    "delta": (2,),
-    "counit": (),
-    "antipode": (1,),
-    "crossing": (1, 1),
-}
-
-
 def _json_path(pi: GroupTable, field, key) -> tuple:
     """The JSON keys that lead to the component at ``key`` in ``field``'s block."""
     elements = () if key is None else key if isinstance(key, tuple) else (key,)
     names = iter([pi.names[x] for x in elements])
-    return tuple("|".join(itertools.islice(names, width)) for width in _NESTING[field])
+    return tuple("|".join(itertools.islice(names, width)) for width in LAYOUT[field][1])
 
 
 def _components(node, pi, widths, where, elements=()):
     """(key, node, where) for every component of a block nested as
-    ``widths`` says; each label is resolved to its elements on the way down."""
+    ``widths``, the field's ``LAYOUT`` entry, says; each label is resolved
+    to its elements on the way down."""
     if not widths:
         yield component_key(elements), node, where
         return
@@ -297,7 +284,7 @@ def parse_algebra(data) -> HopfPiCoalgebra:
         for field in LAYOUT:
             if field == "crossing" and field not in data:
                 continue
-            components = _components(data[field], pi, _NESTING[field], field)
+            components = _components(data[field], pi, LAYOUT[field][1], field)
             maps[field] = {key: _parse_tensor(node, pi, dim, field, key, where)
                            for key, node, where in components}
         maps["counit"] = maps["counit"][None]  # one component, not a block

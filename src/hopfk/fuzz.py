@@ -111,8 +111,10 @@ def random_move(rng, D: Diagram) -> MoveSpec:
 
 
 def random_move_walk(rng, D: Diagram, steps: int, max_crossings: int = 28):
-    """Apply up to ``steps`` random applicable moves, capping growth; returns
+    """Apply up to ``steps`` random applicable moves, capping growth at
+    ``max_crossings`` crossings, never below the crossing count of ``D``; returns
     the list of ``(move, diagram)`` pairs, the diagram each move gives, in order."""
+    max_crossings = max(max_crossings, len(D.crossings))
     out = []
     for _ in range(steps):
         for _attempt in range(30):
@@ -148,8 +150,7 @@ def mutate_algebra(H: HopfPiCoalgebra, rng) -> tuple:
     mutated algebra).  Used to confirm the validators actually bite."""
     support = H.support()
     field = rng.choice(("mul", "unit", "delta", "counit", "antipode"))
-    _, arity, _ = LAYOUT[field]
-    key = component_key([rng.choice(support) for _ in range(arity)])
+    key = component_key([rng.choice(support) for _ in range(sum(LAYOUT[field][1]))])
     dims = structure_dims(H.pi, H.dim, field, key)
     if not all(dims):
         return mutate_algebra(H, rng)

@@ -47,9 +47,6 @@ class Diagram:
     def with_colors(self, pi: GroupTable, colors) -> "Diagram":
         return replace(self, colors=tuple(colors), pi=pi)
 
-    def uncolored(self) -> "Diagram":
-        return replace(self, colors=None, pi=None)
-
     def families(self) -> tuple:
         """The traversal orders of the upper circles, then of the lower ones."""
         return self.upper_orders, self.lower_orders

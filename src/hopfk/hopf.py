@@ -105,17 +105,19 @@ class HopfPiCoalgebra:
 # -- tensor layout of the structure maps ---------------------------------------
 
 # Per structure map, in the order of the ``HopfPiCoalgebra`` fields: its
-# leg labels, in stored order; how many group elements key a component;
-# and the component each leg runs over, as a function of (pi, key), where
-# key is the component a (mul, unit, antipode), the pair (a, b) (delta),
-# the pair (b, a) (crossing) or None (counit).
+# leg labels, in stored order; how its components are keyed, as the number
+# of group elements at each level of nesting (the JSON key at a level joins
+# that many names with "|"); and the component each leg runs over, as a
+# function of (pi, key), where key is the component a (mul, unit,
+# antipode), the pair (a, b) (delta), the pair (b, a) (crossing, nested b
+# then a) or None (counit, one component).
 LAYOUT = {
-    "mul": (("in1", "in2", "out"), 1, lambda pi, a: (a, a, a)),
-    "unit": (("out",), 1, lambda pi, a: (a,)),
-    "delta": (("in", "out1", "out2"), 2, lambda pi, k: (pi.mul[k[0]][k[1]], *k)),
-    "counit": (("in",), 0, lambda pi, _: (pi.identity,)),
-    "antipode": (("in", "out"), 1, lambda pi, a: (a, pi.inverse[a])),
-    "crossing": (("in", "out"), 2, lambda pi, k: (k[1], pi.conjugate(*k))),
+    "mul": (("in1", "in2", "out"), (1,), lambda pi, a: (a, a, a)),
+    "unit": (("out",), (1,), lambda pi, a: (a,)),
+    "delta": (("in", "out1", "out2"), (2,), lambda pi, k: (pi.mul[k[0]][k[1]], *k)),
+    "counit": (("in",), (), lambda pi, _: (pi.identity,)),
+    "antipode": (("in", "out"), (1,), lambda pi, a: (a, pi.inverse[a])),
+    "crossing": (("in", "out"), (1, 1), lambda pi, k: (k[1], pi.conjugate(*k))),
 }
 
 
@@ -130,14 +132,14 @@ def structure_maps(H: HopfPiCoalgebra):
     map, in ``LAYOUT`` order; the component is None where it is missing.
     The crossing is listed only when it is given."""
     elements = range(H.pi.order)
-    for field, (_, arity, _) in LAYOUT.items():
+    for field, (_, widths, _) in LAYOUT.items():
         stored = getattr(H, field)
         if stored is None:
             continue
-        if not arity:
+        if not widths:
             yield field, None, stored
             continue
-        for key in itertools.product(elements, repeat=arity):
+        for key in itertools.product(elements, repeat=sum(widths)):
             key = component_key(key)
             yield field, key, stored.get(key)
 

@@ -28,7 +28,14 @@ from hopfk.diagio import (
 )
 from hopfk.groups import GroupHom, symmetric_group, trivial_hom
 from hopfk.heegaard import connected_sum, lens_diagram, mirror_diagram
-from hopfk.hopf import build_function_hopf, conjugation_crossing, dual_variants, structure_maps, validate_hopf
+from hopfk.hopf import (
+    LAYOUT,
+    build_function_hopf,
+    conjugation_crossing,
+    dual_variants,
+    structure_maps,
+    validate_hopf,
+)
 from hopfk.invariant import contract_invariant
 from hopfk.scalars import ONE, Scalar
 
@@ -56,6 +63,26 @@ def test_algebra_roundtrip(kp, fs3, s3):
     assert set(dump_algebra(conj)["crossing"]) == set(s3.names)
 
 
+@pytest.mark.parametrize("name", ["kp", "fun-id-s3-conjugation"])
+def test_dumped_blocks_nest_as_layout_says(name, kp, s3):
+    # hopf.LAYOUT is the one table of how each map is keyed: per level of a
+    # block, how many element names its JSON keys join with "|".
+    idhom = GroupHom(s3, s3, tuple(range(s3.order)))
+    H = kp if name == "kp" else replace(build_function_hopf(idhom), crossing=conjugation_crossing(idhom))
+    data = dump_algebra(H)
+    for field, (_, widths, _) in LAYOUT.items():
+        nodes = [data[field]]
+        for width in widths:
+            assert all(isinstance(node, dict) and len(node) == H.pi.order ** width for node in nodes)
+            for label in (label for node in nodes for label in node):
+                parts = label.split("|")
+                assert len(parts) == width and set(parts) <= set(H.pi.names), (field, label)
+            nodes = [child for node in nodes for child in node.values()]
+        assert all(isinstance(node, list) for node in nodes), field
+    back = parse_algebra(json.loads(json.dumps(data)))
+    assert list(structure_maps(back)) == list(structure_maps(H))
+
+
 def test_loaded_unit_entries_are_the_shared_one(mul_count):
     # Entries 1 given as the string "1" (as dumped) and as the integer 1.
     text = dump_algebra(builtin_algebra("kp"))
@@ -81,7 +108,7 @@ def test_diagram_roundtrip(z2):
     assert back == D
     # colors can be dropped on request
     plain = parse_diagram(data, ignore_colors=True)
-    assert not plain.colored and plain.uncolored() == D.uncolored()
+    assert not plain.colored and plain == replace(D, colors=None, pi=None)
 
 
 def test_builtin_names():
@@ -391,6 +418,16 @@ def test_cli_move_fuzz(rp3_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "baseline K = 2" in out and "PASS" in out
+
+
+def test_cli_move_fuzz_walks_a_diagram_above_the_default_cap(tmp_path, z2, capsys):
+    # L(30) has 30 crossings, more than random_move_walk's default cap of 28.
+    path = tmp_path / "l30.json"
+    path.write_text(json.dumps(dump_diagram(lens_diagram(30).with_colors(z2, (1,)))))
+    argv = ["move-fuzz", "--json", "--algebra", "kp", "--diagram", str(path), "--steps", "3"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(record["steps"]) == 3 and record["status"] == "PASS"
 
 
 def test_cli_exit_codes(tmp_path, capsys):
