@@ -15,15 +15,12 @@ import math
 import os
 import sys
 from collections.abc import Mapping
-from contextvars import ContextVar
 from operator import itemgetter
 
 from .scalars import ONE, ZERO, Scalar
 
 DEFAULT_ENTRY_CAP = 10_000_000
 ENTRY_CAP_ENV = "HOPFK_ENTRY_CAP"
-# The cap ``contract_network`` read for the network it is contracting, if any.
-_network_cap = ContextVar("network_cap", default=None)
 
 
 class EntryCapExceeded(RuntimeError):
@@ -183,19 +180,18 @@ class GradedTensor:
 
     # -- contraction ---------------------------------------------------------
 
-    def contract(self, other: "GradedTensor") -> "GradedTensor":
+    def contract(self, other: "GradedTensor", limit: int) -> "GradedTensor":
         """Contract all legs whose labels appear in both tensors.
 
         Matching legs must agree in dimension; the result keeps the
         remaining legs of ``self`` followed by those of ``other``.  The
         hash join computes one product per pair of stored entries that
         agree on the shared legs, and raises ``EntryCapExceeded`` as soon
-        as their count passes the cap: the one ``contract_network`` read
-        for the network being contracted, else ``entry_cap()``.  So the cap
-        bounds both the time of a contraction and the entries of its
-        result.  A product with a stored ``ONE`` is the other factor, taken
-        without a multiply (it still counts towards the cap).  A product
-        equal to 1, such as I * -I, is stored as computed, not as ``ONE``.
+        as their count passes ``limit``.  So the limit bounds both the
+        time of a contraction and the entries of its result.  A product
+        with a stored ``ONE`` is the other factor, taken without a
+        multiply (it still counts towards the limit).  A product equal to
+        1, such as I * -I, is stored as computed, not as ``ONE``.
 
         A product written to a key for the first time is stored untested:
         both factors are stored entries, so nonzero, and Q(i) has no zero
@@ -233,7 +229,6 @@ class GradedTensor:
         my_part, ot_part, my_index, ot_index = _join_setup(self.labels, self.dims, other.labels, other.dims)
         labels = my_part(self.labels) + ot_part(other.labels)
         dims = my_part(self.dims) + ot_part(other.dims)
-        limit = _network_cap.get() or entry_cap()
         # Hash-join on the shared index values; ``mine`` says self is the
         # indexed side (see above for which side that is).
         mine = self._index is not None and (other._index is None or len(self.data) > len(other.data))
@@ -311,25 +306,24 @@ def contract_network(nodes) -> GradedTensor:
     plans are memoized per shape in a bounded cache.  This function
     replays the plan's merges with ``contract``, then joins the leftover
     components.  A network of at most two tensors needs no plan: it is
-    ``nodes[0].contract(nodes[1])``.  The entry cap is read once, before
-    the first contraction, and bounds every contraction of the network.
+    ``nodes[0].contract(nodes[1], cap)``.  The entry cap is read once per
+    network, by ``entry_cap()`` before the first contraction, and handed
+    to each contraction as its limit; a network of at most one tensor
+    makes none and reads nothing.
     """
     pool = list(nodes)
     if len(pool) < 2:
         return pool[0] if pool else GradedTensor((), (), {(): ONE})
-    token = _network_cap.set(entry_cap())
-    try:
-        if len(pool) > 2:
-            merges, left = plan_network(tuple([(t.labels, t.dims) for t in pool]))
-            live = dict(enumerate(pool))
-            for new, (a, b) in enumerate(merges, len(pool)):
-                live[new] = live.pop(a).contract(live.pop(b))
-            pool = [live[i] for i in left]
-        result = pool[0]
-        for t in pool[1:]:
-            result = result.contract(t)
-    finally:
-        _network_cap.reset(token)
+    cap = entry_cap()
+    if len(pool) > 2:
+        merges, left = plan_network(tuple([(t.labels, t.dims) for t in pool]))
+        live = dict(enumerate(pool))
+        for new, (a, b) in enumerate(merges, len(pool)):
+            live[new] = live.pop(a).contract(live.pop(b), cap)
+        pool = [live[i] for i in left]
+    result = pool[0]
+    for t in pool[1:]:
+        result = result.contract(t, cap)
     return result
 
 

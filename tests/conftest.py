@@ -62,8 +62,11 @@ def _scan_network(nodes, pick=min):
     the one ``pick`` returns; the merged tensor goes to the end of the pool.
     Leftover components are joined in pool order.  ``pick=min`` is the
     order ``contract_network`` must follow; ``pick=rng.choice`` is a
-    uniformly random order, whose value must be the same."""
+    uniformly random order, whose value must be the same.  Like
+    ``contract_network``, it reads the entry cap once and hands it to
+    each join."""
     pool = list(nodes)
+    limit = tensors.entry_cap()
     while True:
         candidates = []
         for a in range(len(pool)):
@@ -79,12 +82,12 @@ def _scan_network(nodes, pick=min):
         if not candidates:
             break
         _, a, b = pick(candidates)
-        merged = pool[a].contract(pool[b])
+        merged = pool[a].contract(pool[b], limit)
         pool = [t for i, t in enumerate(pool) if i not in (a, b)]
         pool.append(merged)
     result = pool[0] if pool else GradedTensor((), (), {(): ONE})
     for t in pool[1:]:
-        result = result.contract(t)
+        result = result.contract(t, limit)
     return result
 
 
@@ -159,8 +162,8 @@ def reference_plan():
 # -- a reference join for GradedTensor.contract ---------------------------------------
 
 
-def _reference_contract(a, b):
-    """``a.contract(b)`` as it was before its set-up was memoized: the
+def _reference_contract(a, b, limit):
+    """``a.contract(b, limit)`` as it was before its set-up was memoized: the
     set-up is rebuilt from the operands' labels and dims on every call.  It
     indexes the side ``contract`` indexes, but builds that index afresh and
     neither reads nor keeps a stored one; the result is a stored tensor."""
@@ -177,7 +180,6 @@ def _reference_contract(a, b):
     my_part, ot_part = projection(keep), projection(list(where.values()))
     labels = my_part(a.labels) + ot_part(b.labels)
     dims = my_part(a.dims) + ot_part(b.dims)
-    limit = tensors._network_cap.get() or tensors.entry_cap()
     mine = a._index is not None and (b._index is None or len(a.data) > len(b.data))
     if mine:
         indexed, ix_part, scanned, scan_part = a, my_part, b, ot_part
@@ -225,9 +227,9 @@ def contraction_log(monkeypatch):
         calls = []
         contract = GradedTensor.contract
 
-        def logged(self, other):
+        def logged(self, other, limit):
             calls.append((self.labels, other.labels))
-            return contract(self, other)
+            return contract(self, other, limit)
 
         with monkeypatch.context() as m:
             m.setattr(GradedTensor, "contract", logged)

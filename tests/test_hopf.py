@@ -464,8 +464,8 @@ def test_structural_lemmas_hold_no_tensor_above_two_open_legs(monkeypatch):
     results = []
     contract = GradedTensor.contract
 
-    def logged(self, other):
-        results.append(contract(self, other))
+    def logged(self, other, limit):
+        results.append(contract(self, other, limit))
         return results[-1]
 
     monkeypatch.setattr(GradedTensor, "contract", logged)
@@ -699,8 +699,8 @@ def test_validation_contracts_at_most_g_squared_entries(monkeypatch):
     sizes = []
     contract = GradedTensor.contract
 
-    def logged(self, other):
-        out = contract(self, other)
+    def logged(self, other, limit):
+        out = contract(self, other, limit)
         sizes.append(len(out.data))
         return out
 

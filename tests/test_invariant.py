@@ -12,10 +12,12 @@ from hopfk.fuzz import random_diagram, random_move_walk
 from hopfk.groups import (
     GroupHom,
     cyclic_group,
+    group_from_table,
     mod_hom,
     sign_hom_s3,
     symmetric_group,
     trivial_hom,
+    validate_hom,
 )
 from hopfk.heegaard import (
     Diagram,
@@ -381,6 +383,54 @@ def lens_k(p, color):
     if half % 2:
         return 2
     return 0 if half % 4 == 2 else 4
+
+
+def table_group(elements, mul):
+    """The group of ``elements`` under ``mul``, named by their strs."""
+    elements = list(elements)
+    where = {x: i for i, x in enumerate(elements)}
+    return group_from_table([str(x) for x in elements], [[where[mul(x, y)] for y in elements] for x in elements])
+
+
+def quaternion(x, y):
+    """The product of two quaternions given as (1, i, j, k) coefficients."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def test_kp_is_not_a_function_algebra_on_lens_spaces(kp, z2):
+    # The invariant is not trivial: on the flat Z/2-bundles of L(p), p <= 16,
+    # kp's table is not that of any F(G)^phi with kp's dim H_1 = 4, that is
+    # |G| = 8 and phi onto Z/2.  The 17 such phi give 7 distinct tables.
+    units = [tuple(s if i == k else 0 for i in range(4)) for k in range(4) for s in (1, -1)]
+    groups = {
+        "Z/8": table_group(range(8), lambda x, y: (x + y) % 8),
+        "Z/2xZ/4": table_group(itertools.product(range(2), range(4)),
+                               lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)),
+        "(Z/2)^3": table_group(itertools.product(range(2), repeat=3),
+                               lambda x, y: tuple((a + b) % 2 for a, b in zip(x, y))),
+        # r^k s^e as (k, e)
+        "D4": table_group(itertools.product(range(4), range(2)),
+                          lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)),
+        "Q8": table_group(units, quaternion),
+    }
+    diagrams = [lens_diagram(p) for p in range(1, 17)]
+
+    def table(H):
+        return tuple(contract_invariant(H, D.with_colors(z2, colors))[1]
+                     for D in diagrams for colors in enumerate_colorings(D, z2))
+
+    onto = {}
+    for name, G in groups.items():
+        assert G.order == 8 and G.is_abelian() == (name not in ("D4", "Q8"))
+        homs = [GroupHom(G, z2, image) for image in itertools.product(range(2), repeat=8)]
+        onto[name] = [table(build_function_hopf(phi)) for phi in homs if 1 in phi.image and validate_hom(phi).passed]
+    assert {name: len(tables) for name, tables in onto.items()} == {"Z/8": 1, "Z/2xZ/4": 3, "(Z/2)^3": 7, "D4": 3, "Q8": 3}
+    tables = {t for ts in onto.values() for t in ts}
+    assert len(tables) == 7
+    assert table(kp) not in tables
 
 
 def test_large_lens_closed_form(kp, z2):

@@ -69,7 +69,7 @@ def test_given_unit_entries_are_stored_as_the_shared_one():
     assert t.data[(0,)] is ONE and t.data[(1,)] is ONE
     assert t.data[(2,)] == -ONE
     # Stored entries are taken as they are: a computed product equal to 1 stays.
-    product = GradedTensor(labels, dims, {(0,): I}).contract(GradedTensor(("b",), (1,), {(0,): -I}))
+    product = GradedTensor(labels, dims, {(0,): I}).contract(GradedTensor(("b",), (1,), {(0,): -I}), entry_cap())
     assert product.data[(0, 0)] == ONE and product.data[(0, 0)] is not ONE
     assert GradedTensor.from_stored(labels, dims, {(0,): Scalar(1)}).data[(0,)] is not ONE
 
@@ -85,13 +85,13 @@ def test_equality_compares_legs_and_entries():
 def test_contract_inner_product():
     a = vec("x", [1, 2, 3])
     b = vec("x", [4, 5, 6])
-    assert a.contract(b).as_scalar() == Scalar(32)
+    assert a.contract(b, entry_cap()).as_scalar() == Scalar(32)
 
 
 def test_contract_matrix_vector():
     m = matrix("r", "c", [[1, 2], [3, 4]])
     v = vec("c", [1, 1])
-    out = m.contract(v)
+    out = m.contract(v, entry_cap())
     assert out.labels == ("r",)
     assert out.entry((0,)) == Scalar(3) and out.entry((1,)) == Scalar(7)
     assert m.axis("c") == 1
@@ -101,7 +101,7 @@ def test_contract_matrix_vector():
 
 def test_contract_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        vec("x", [1, 2]).contract(vec("x", [1, 2, 3]))
+        vec("x", [1, 2]).contract(vec("x", [1, 2, 3]), entry_cap())
 
 
 def test_relabel_permute(permute):
@@ -138,7 +138,7 @@ def join_operands(draw):
             return GradedTensor.from_stored([("v", i) for i in range(len(t.dims))], t.dims, t.data).relabel(t.labels)
         if kind == "result":
             # an outer product with the scalar ONE takes each entry as it is
-            return t.contract(GradedTensor((), (), {(): ONE}))
+            return t.contract(GradedTensor((), (), {(): ONE}), entry_cap())
         return t
 
     kind = draw(st.sampled_from(["all-shared", "some-shared", "views"]))
@@ -189,7 +189,7 @@ def test_contract_matches_dense_reference(permute, operands):
     labels, dims, want = dense_contract(a, b)
     # The first join builds the index of a stored operand, the second reads it.
     for _ in range(2):
-        got = a.contract(b)
+        got = a.contract(b, entry_cap())
         assert (got.labels, got.dims) == (labels, dims)
         assert {k: got.entry(k) for k in want} == want
         assert not any(v.is_zero() for v in got.data.values())
@@ -197,7 +197,7 @@ def test_contract_matches_dense_reference(permute, operands):
     # The other way round the other operand may be the indexed one; the
     # result is the same tensor with its legs in the other order.
     for _ in range(2):
-        swapped = b.contract(a)
+        swapped = b.contract(a, entry_cap())
         assert not any(v.is_zero() for v in swapped.data.values())
         assert permute(swapped, [swapped.labels.index(x) for x in got.labels]) == got
 
@@ -242,12 +242,12 @@ def join_shapes(draw):
     return a, b, dict(zip(names, renamed)), draw(st.one_of(st.none(), st.integers(1, 12)))
 
 
-def join_outcome(join, a, b):
-    """The labels and dims of ``join(a, b)`` as their reprs, so that ``1``
-    and ``True`` differ, and its entries; or the type and message of the
-    error it raised."""
+def join_outcome(join, a, b, limit):
+    """The labels and dims of ``join(a, b, limit)`` as their reprs, so that
+    ``1`` and ``True`` differ, and its entries; or the type and message of
+    the error it raised."""
     try:
-        t = join(a, b)
+        t = join(a, b, limit)
     except (ValueError, EntryCapExceeded) as exc:
         return type(exc), str(exc)
     return repr(t.labels), repr(t.dims), t.data
@@ -277,7 +277,7 @@ def test_contract_matches_the_reference_join_cold_and_warm(reference_contract, c
     def build(operand, k):
         labels, dims, form, entries = operand
         t = GradedTensor.from_stored(labels, dims, entries[k])
-        return t if form == "stored" else t.contract(unit)
+        return t if form == "stored" else t.contract(unit, entry_cap())
 
     a, b = build(a_operand, 0), build(b_operand, 0)
     # the same shapes with other entries: the shape memo hits
@@ -293,17 +293,14 @@ def test_contract_matches_the_reference_join_cold_and_warm(reference_contract, c
         wrong = build((b.labels, dims, b_operand[2], ({},)), 0)
         pairs += [(a, wrong), (wrong, a), (renamed[0], wrong.relabel([rename[label] for label in b.labels]))]
     memos = tensors._join_setup, tensors._join_pattern
-    token = tensors._network_cap.set(cap)
-    try:
-        for memo in memos:
-            memo.cache_clear()
-        for n, (x, y) in enumerate(pairs):
-            assert join_outcome(GradedTensor.contract, x, y) == join_outcome(reference_contract, x, y)
-            if n < 2:  # cold, then warm
-                assert memos[0].cache_info()[:2] == (n, 1)
-                assert memos[1].cache_info()[:2] == (0, 1)
-    finally:
-        tensors._network_cap.reset(token)
+    limit = cap or entry_cap()
+    for memo in memos:
+        memo.cache_clear()
+    for n, (x, y) in enumerate(pairs):
+        assert join_outcome(GradedTensor.contract, x, y, limit) == join_outcome(reference_contract, x, y, limit)
+        if n < 2:  # cold, then warm
+            assert memos[0].cache_info()[:2] == (n, 1)
+            assert memos[1].cache_info()[:2] == (0, 1)
 
 
 def test_the_join_memos_miss_once_per_diagram_are_bounded_and_hold_no_tensor(kp):
@@ -333,12 +330,12 @@ def test_the_join_memos_miss_once_per_diagram_are_bounded_and_hold_no_tensor(kp)
     # then more patterns than the pattern memo holds: one shared leg at
     # the front of n legs and of m legs
     for n in range(memos[0].cache_info().maxsize + 5):
-        result = watched(vec(("x", n), [1, 2])).contract(watched(vec(("x", n), [3, 4])))
+        result = watched(vec(("x", n), [1, 2])).contract(watched(vec(("x", n), [3, 4])), entry_cap())
         refs.append(weakref.ref(result))
     for n, m in itertools.product(range(1, 20), repeat=2):
         x = watched(GradedTensor(["s"] + [("a", i) for i in range(1, n)], (1,) * n, {(0,) * n: ONE}))
         y = watched(GradedTensor(["s"] + [("b", i) for i in range(1, m)], (1,) * m, {(0,) * m: I}))
-        result = x.contract(y)
+        result = x.contract(y, entry_cap())
         refs.append(weakref.ref(result))
     for memo in memos:
         info = memo.cache_info()
@@ -406,15 +403,15 @@ def test_merged_size_is_the_open_dense_size(data):
 def test_contract_tests_only_sums_for_zero(is_zero_count, vector):
     # An outer product writes each key once: no zero test at all.
     x, y = vec("x", [1, 2, 3]), vector("y", (ONE, I))
-    outer, calls = is_zero_count(x.contract, y)
+    outer, calls = is_zero_count(x.contract, y, entry_cap())
     assert calls == 0
     assert outer == GradedTensor(x.labels + y.labels, x.dims + y.dims, {(i, j): Scalar(i + 1) * v for i in range(3) for j, v in enumerate((ONE, I))})
     # Two terms that cancel: one sum, tested, and the key is dropped.
-    cancelled, calls = is_zero_count(vec("x", [1, 1]).contract, vec("x", [1, -1]))
+    cancelled, calls = is_zero_count(vec("x", [1, 1]).contract, vec("x", [1, -1]), entry_cap())
     assert calls == 1
     assert cancelled.data == {} and cancelled.as_scalar() == ZERO
     # A dropped key is fresh again: 1 - 1 is tested and dropped, + 1 is not tested.
-    again, calls = is_zero_count(vec("x", [1, 1, 1]).contract, matrix("x", "y", [[1], [-1], [1]]))
+    again, calls = is_zero_count(vec("x", [1, 1, 1]).contract, matrix("x", "y", [[1], [-1], [1]]), entry_cap())
     assert calls == 1
     assert again == vec("y", [1])
 
@@ -457,7 +454,7 @@ def test_entry_cap(monkeypatch):
     other = matrix("b", "c", [[1] * 4] * 4)
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
     with pytest.raises(EntryCapExceeded) as exc:
-        big.contract(other)
+        contract_network([big, other])
     # the join stops at the third row of ``big``: 3 rows x 4 hits > 8
     assert str(exc.value) == (
         "contraction would compute at least 12 products (cap 8); "
@@ -469,7 +466,7 @@ def test_entry_cap(monkeypatch):
     # "contracted over nothing"
     monkeypatch.setattr(tensors, "entry_cap", lambda: 0)
     with pytest.raises(EntryCapExceeded) as exc:
-        vec("x", [1, 2]).contract(vec("x", [3, 4]))
+        contract_network([vec("x", [1, 2]), vec("x", [3, 4])])
     assert str(exc.value) == (
         "contraction would compute at least 1 products (cap 0); "
         "open legs none; contracted over 'x'"
@@ -482,14 +479,14 @@ def test_entry_cap_counts_join_products(monkeypatch):
     # dense size of 16, two all-ones ones make 64.
     diagonal = [[int(i == j) for j in range(4)] for i in range(4)]
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
-    product = matrix("a", "b", diagonal).contract(matrix("b", "c", diagonal))
+    product = contract_network([matrix("a", "b", diagonal), matrix("b", "c", diagonal)])
     assert product == matrix("a", "c", diagonal)
     ones = [[1] * 4] * 4
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "32")
     with pytest.raises(EntryCapExceeded, match="cap 32"):
-        matrix("a", "b", ones).contract(matrix("b", "c", ones))
+        contract_network([matrix("a", "b", ones), matrix("b", "c", ones)])
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "64")
-    assert matrix("a", "b", ones).contract(matrix("b", "c", ones)) == matrix("a", "c", [[4] * 4] * 4)
+    assert contract_network([matrix("a", "b", ones), matrix("b", "c", ones)]) == matrix("a", "c", [[4] * 4] * 4)
     # F(S3) graded by the trivial group: the largest join of its validation
     # is 216 products, its largest dense size 6^4 = 1,296
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "500")
@@ -524,13 +521,28 @@ def test_entry_cap_must_be_positive(monkeypatch):
             entry_cap()
         assert str(exc.value) == message
         with pytest.raises(ValueError):
-            vec("x", [1]).contract(vec("x", [1]))
+            contract_network([vec("x", [1]), vec("x", [1])])
 
 
-def test_network_multiplies_components():
+def test_network_multiplies_components(monkeypatch):
     n1 = [vec("x", [1, 2]), vec("x", [1, 1])]  # 3
     n2 = [GradedTensor((), (), {(): Scalar(7)})]
     assert contract_network(n1 + n2).as_scalar() == Scalar(21)
+    # two components of two nodes: each planned merge makes 4 products,
+    # under a cap of 8; their outer product makes 16, and the cap holds
+    # there too
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    nodes = [matrix("a", "b", identity), vec("b", [1, 2, 3, 4]),
+             matrix("c", "d", identity), vec("d", [1, 1, 1, 1])]
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
+    with pytest.raises(EntryCapExceeded) as exc:
+        contract_network(nodes)
+    assert str(exc.value) == (
+        "contraction would compute at least 12 products (cap 8); "
+        "open legs 'a' (dim 4), 'c' (dim 4); contracted over nothing"
+    )
+    monkeypatch.setenv("HOPFK_ENTRY_CAP", "16")
+    assert contract_network(nodes) == matrix("a", "c", [[i + 1] * 4 for i in range(4)])
 
 
 def test_network_order_independent(scan_network, contraction_log):
@@ -648,6 +660,31 @@ def test_no_rng_parameter_outside_fuzz():
         if isinstance(arg, ast.arg) and arg.arg == "rng"
     ]
     assert not takers
+
+
+def test_the_entry_cap_is_an_argument_of_every_join():
+    # contract_network reads HOPFK_ENTRY_CAP and hands it to each join: no
+    # module of the package imports contextvars, and only contract_network
+    # calls entry_cap
+    package = pathlib.Path(hopfk.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            if "contextvars" in modules:
+                found.append(f"{path.name}:{node.lineno} imports contextvars")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "entry_cap":
+                callers = [f.name for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+                if (path.name, callers) != ("tensors.py", ["contract_network"]):
+                    found.append(f"{path.name}:{node.lineno} calls entry_cap in {callers}")
+    assert not found
 
 
 # -- the greedy planner against the all-pairs scan it replaced ----------------------
@@ -842,25 +879,25 @@ def test_relabel_views_share_one_index_per_leg_pattern():
     assert m._index == {}
     # a stored tensor joined with a result is indexed: one index for leg 1,
     # read in every later join on that leg, whatever its label there
-    column = vec("c", [1, -1]).contract(GradedTensor((), (), {(): ONE}))
+    column = vec("c", [1, -1]).contract(GradedTensor((), (), {(): ONE}), entry_cap())
     assert column._index is None
-    views[0].contract(column)
+    views[0].contract(column, entry_cap())
     buckets = m._index[(1,)]
     assert set(buckets) == {0, 1}  # one joined leg: a bucket key is the value itself
-    assert views[1].contract(column.relabel("y")) == vec("x", [-1, -1, -1])
-    assert views[2].contract(column.relabel("x")) == vec("y", [-1, -1, -1])
+    assert views[1].contract(column.relabel("y"), entry_cap()) == vec("x", [-1, -1, -1])
+    assert views[2].contract(column.relabel("x"), entry_cap()) == vec("y", [-1, -1, -1])
     assert list(m._index) == [(1,)] and m._index[(1,)] is buckets
     assert_index_is_true(m)
     # two legs, scanned in either order, share the index of their positions
     unit = GradedTensor((), (), {(): ONE})
-    mask = matrix("x", "y", [[1, 0], [0, 1], [1, 1]]).contract(unit)
-    assert views[1].contract(mask).as_scalar() == Scalar(1 + 4 + 5 + 6)
-    transposed = matrix("x", "y", [[1, 0, 1], [0, 1, 1]]).contract(unit)
-    assert views[2].contract(transposed).as_scalar() == Scalar(1 + 4 + 5 + 6)
+    mask = matrix("x", "y", [[1, 0], [0, 1], [1, 1]]).contract(unit, entry_cap())
+    assert views[1].contract(mask, entry_cap()).as_scalar() == Scalar(1 + 4 + 5 + 6)
+    transposed = matrix("x", "y", [[1, 0, 1], [0, 1, 1]]).contract(unit, entry_cap())
+    assert views[2].contract(transposed, entry_cap()).as_scalar() == Scalar(1 + 4 + 5 + 6)
     assert list(m._index) == [(1,), (0, 1)]
     assert_index_is_true(m)
     # a result keeps no index, nor do its views
-    result = m.contract(vec("c", [1, 1]))
+    result = m.contract(vec("c", [1, 1]), entry_cap())
     assert result._index is None and result.relabel("z")._index is None
 
 
@@ -904,7 +941,7 @@ def test_an_index_is_freed_with_its_tensor_and_holds_no_operand():
     # the partner's entries are ONE, so the join takes node's values as they are
     node = GradedTensor.from_stored(("a", "b"), (2, 2), Entries({(0, 0): Watched(1), (0, 1): Watched(2), (1, 0): Watched(3)}))
     partner = GradedTensor.from_stored(("b",), (2,), Entries({(0,): ONE, (1,): ONE}))
-    assert node.contract(partner) == vec("a", [3, 3])
+    assert node.contract(partner, entry_cap()) == vec("a", [3, 3])
     assert list(node._index) == [(1,)] and partner._index == {}
     refs = weakref.ref(partner), weakref.ref(partner.data)
     del partner
@@ -929,10 +966,10 @@ def test_a_warm_index_never_skips_the_entry_cap(monkeypatch, shapes):
         left, right = matrix("a", "b", [[1] * b] * a), matrix("b", "c", [[1] * c] * b)
         if warm:
             monkeypatch.delenv("HOPFK_ENTRY_CAP", raising=False)
-            assert left.contract(right) == matrix("a", "c", [[4] * c] * a)
+            assert left.contract(right, entry_cap()) == matrix("a", "c", [[4] * c] * a)
             assert len(left._index) + len(right._index) == 1
         monkeypatch.setenv("HOPFK_ENTRY_CAP", "8")
-        for join in (lambda: left.contract(right), lambda: contract_network([left, right])):
+        for join in (lambda: left.contract(right, entry_cap()), lambda: contract_network([left, right])):
             with pytest.raises(EntryCapExceeded) as exc:
                 join()
             assert str(exc.value) == message
@@ -951,10 +988,10 @@ def test_a_network_reads_the_entry_cap_once(monkeypatch):
         reads.clear()
         contract_network(nodes)
         assert len(reads) == want
-    # outside a network, each contract reads it
+    # a direct join is given its limit and reads nothing
     reads.clear()
-    chain[0].contract(chain[1]).contract(chain[2])
-    assert len(reads) == 2
+    chain[0].contract(chain[1], DEFAULT_ENTRY_CAP).contract(chain[2], DEFAULT_ENTRY_CAP)
+    assert reads == []
     # a network that makes no contraction does not read a bad cap
     monkeypatch.undo()
     monkeypatch.setenv("HOPFK_ENTRY_CAP", "0")
